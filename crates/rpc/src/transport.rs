@@ -15,7 +15,7 @@
 //!   host boundaries; used by the distributed examples.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -190,34 +190,94 @@ impl Link for InProcNetwork {
 // TCP link
 // ---------------------------------------------------------------------------
 
-/// Wire framing for TCP: 4-byte big-endian length, then src (8 bytes BE),
-/// dst (8 bytes BE), then payload.
-fn write_frame(stream: &mut TcpStream, frame: &Frame) -> std::io::Result<()> {
-    let len = 16 + frame.payload.len();
-    let mut buf = Vec::with_capacity(4 + len);
-    buf.extend_from_slice(&(len as u32).to_be_bytes());
-    buf.extend_from_slice(&frame.src.to_be_bytes());
-    buf.extend_from_slice(&frame.dst.to_be_bytes());
-    buf.extend_from_slice(&frame.payload);
-    stream.write_all(&buf)
+// Wire framing for TCP: 4-byte big-endian length, then src (8 bytes BE),
+// dst (8 bytes BE), then payload. The length counts the 16 address bytes
+// and the payload.
+
+/// The largest frame length (address bytes plus payload) a [`TcpLink`]
+/// sends or accepts. A longer prefix on the wire means a corrupt or hostile
+/// stream: the reader counts it in [`TcpLink::rejected_frames`] and closes
+/// the connection before allocating anything.
+pub const MAX_FRAME_LEN: usize = 16 << 20;
+
+/// Writes `frames` back to back as `[header, payload]` slice pairs, one
+/// 20-byte framing header per frame, with vectored writes: payloads are
+/// never copied. A short write resumes where the kernel stopped.
+fn write_frames(mut stream: &TcpStream, frames: &[Frame]) -> std::io::Result<()> {
+    let headers: Vec<[u8; 20]> = frames
+        .iter()
+        .map(|f| {
+            let mut h = [0u8; 20];
+            h[0..4].copy_from_slice(&((16 + f.payload.len()) as u32).to_be_bytes());
+            h[4..12].copy_from_slice(&f.src.to_be_bytes());
+            h[12..20].copy_from_slice(&f.dst.to_be_bytes());
+            h
+        })
+        .collect();
+    let parts: Vec<&[u8]> = headers
+        .iter()
+        .zip(frames)
+        .flat_map(|(h, f)| [&h[..], &f.payload[..]])
+        .collect();
+    // `parts[i][off..]` is the first byte not yet written.
+    let (mut i, mut off) = (0, 0);
+    while i < parts.len() {
+        let slices: Vec<IoSlice<'_>> = std::iter::once(&parts[i][off..])
+            .chain(parts[i + 1..].iter().copied())
+            .map(IoSlice::new)
+            .collect();
+        let mut n = match stream.write_vectored(&slices) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        while i < parts.len() && n >= parts[i].len() - off {
+            n -= parts[i].len() - off;
+            i += 1;
+            off = 0;
+        }
+        off += n;
+    }
+    Ok(())
 }
 
+/// Reads one frame: the address header into a stack array and the payload
+/// straight into a buffer of its exact size. A length prefix shorter than
+/// the address header or longer than [`MAX_FRAME_LEN`] fails with
+/// [`std::io::ErrorKind::InvalidData`] before anything is allocated.
 fn read_frame(stream: &mut TcpStream) -> std::io::Result<Frame> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf)?;
     let len = u32::from_be_bytes(len_buf) as usize;
-    if len < 16 {
+    if !(16..=MAX_FRAME_LEN).contains(&len) {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            "frame shorter than header",
+            format!("frame length {len} outside 16..={MAX_FRAME_LEN}"),
         ));
     }
-    let mut buf = vec![0u8; len];
-    stream.read_exact(&mut buf)?;
-    let src = u64::from_be_bytes(buf[0..8].try_into().expect("8 bytes"));
-    let dst = u64::from_be_bytes(buf[8..16].try_into().expect("8 bytes"));
-    let payload = buf[16..].to_vec();
+    let mut addrs = [0u8; 16];
+    stream.read_exact(&mut addrs)?;
+    let mut payload = vec![0u8; len - 16];
+    stream.read_exact(&mut payload)?;
+    let src = u64::from_be_bytes(addrs[0..8].try_into().expect("8 bytes"));
+    let dst = u64::from_be_bytes(addrs[8..16].try_into().expect("8 bytes"));
     Ok(Frame { src, dst, payload })
+}
+
+/// One outbound connection. A writer holds `writing` for a whole frame or
+/// group, so frames from concurrent senders never interleave on the
+/// socket; `close` shuts the stream down without waiting for a writer.
+struct PeerConn {
+    stream: TcpStream,
+    writing: Mutex<()>,
+}
+
+impl PeerConn {
+    fn write(&self, frames: &[Frame]) -> std::io::Result<()> {
+        let _writing = self.writing.lock();
+        write_frames(&self.stream, frames)
+    }
 }
 
 /// A TCP realization of the virtual link layer for one host.
@@ -229,11 +289,12 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Frame> {
 pub struct TcpLink {
     local_addr: SocketAddr,
     routes: RwLock<HashMap<EndpointAddr, SocketAddr>>,
-    conns: Mutex<HashMap<SocketAddr, TcpStream>>,
+    conns: Mutex<HashMap<SocketAddr, Arc<PeerConn>>>,
     incoming_rx: Receiver<Frame>,
     accepted: Arc<Mutex<Vec<TcpStream>>>,
     closed: Arc<AtomicBool>,
     inbound_drops: Arc<AtomicU64>,
+    rejected_frames: Arc<AtomicU64>,
 }
 
 impl TcpLink {
@@ -257,6 +318,7 @@ impl TcpLink {
         let accepted: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
         let closed = Arc::new(AtomicBool::new(false));
         let inbound_drops = Arc::new(AtomicU64::new(0));
+        let rejected_frames = Arc::new(AtomicU64::new(0));
 
         let link = Arc::new(Self {
             local_addr,
@@ -266,6 +328,7 @@ impl TcpLink {
             accepted: accepted.clone(),
             closed: closed.clone(),
             inbound_drops: inbound_drops.clone(),
+            rejected_frames: rejected_frames.clone(),
         });
 
         std::thread::Builder::new()
@@ -281,11 +344,25 @@ impl TcpLink {
                     }
                     let tx = incoming_tx.clone();
                     let drops = inbound_drops.clone();
+                    let rejected = rejected_frames.clone();
                     std::thread::Builder::new()
                         .name("tcp-link-read".to_owned())
                         .spawn(move || {
                             stream.set_nodelay(true).ok();
-                            while let Ok(frame) = read_frame(&mut stream) {
+                            loop {
+                                let frame = match read_frame(&mut stream) {
+                                    Ok(frame) => frame,
+                                    Err(e) => {
+                                        if e.kind() == std::io::ErrorKind::InvalidData {
+                                            // The stream is out of sync. The
+                                            // `accepted` clone keeps the fd
+                                            // open, so shut it down explicitly.
+                                            rejected.fetch_add(1, Ordering::Relaxed);
+                                            let _ = stream.shutdown(Shutdown::Both);
+                                        }
+                                        break;
+                                    }
+                                };
                                 match tx.try_send(frame) {
                                     Ok(()) => {}
                                     Err(TrySendError::Full(_)) => {
@@ -308,6 +385,12 @@ impl TcpLink {
         self.inbound_drops.load(Ordering::Relaxed)
     }
 
+    /// Inbound frames whose length prefix was outside
+    /// `16..=`[`MAX_FRAME_LEN`]; each one closed its connection.
+    pub fn rejected_frames(&self) -> u64 {
+        self.rejected_frames.load(Ordering::Relaxed)
+    }
+
     /// Shuts the link down: stops accepting, severs every accepted and
     /// outbound connection, and releases the listening port. Peers' next
     /// sends to this host fail with an [`RpcError`]; a peer recovers by
@@ -319,8 +402,8 @@ impl TcpLink {
         for stream in self.accepted.lock().drain(..) {
             let _ = stream.shutdown(Shutdown::Both);
         }
-        for (_, stream) in self.conns.lock().drain() {
-            let _ = stream.shutdown(Shutdown::Both);
+        for (_, conn) in self.conns.lock().drain() {
+            let _ = conn.stream.shutdown(Shutdown::Both);
         }
     }
 
@@ -339,57 +422,39 @@ impl TcpLink {
         &self.incoming_rx
     }
 
-    fn connection_to(&self, peer: SocketAddr) -> RpcResult<TcpStream> {
+    fn connection_to(&self, peer: SocketAddr) -> RpcResult<Arc<PeerConn>> {
         let mut conns = self.conns.lock();
-        if let Some(stream) = conns.get(&peer) {
-            return Ok(stream.try_clone()?);
+        if let Some(conn) = conns.get(&peer) {
+            return Ok(conn.clone());
         }
         let stream = TcpStream::connect_timeout(&peer, Duration::from_secs(5))?;
         stream.set_nodelay(true)?;
-        conns.insert(peer, stream.try_clone()?);
-        Ok(stream)
+        let conn = Arc::new(PeerConn {
+            stream,
+            writing: Mutex::new(()),
+        });
+        conns.insert(peer, conn.clone());
+        Ok(conn)
     }
 
-    /// Writes a same-peer group of frames with one vectored syscall:
-    /// `[header, payload]` slice pairs, one 20-byte framing header per
-    /// frame. A short vectored write flattens only the unwritten tail and
-    /// finishes with `write_all`; payloads are never copied on the happy
-    /// path.
-    fn write_group(&self, peer: SocketAddr, frames: &[Frame]) -> std::io::Result<()> {
-        use std::io::IoSlice;
-        let headers: Vec<[u8; 20]> = frames
-            .iter()
-            .map(|f| {
-                let mut h = [0u8; 20];
-                h[0..4].copy_from_slice(&((16 + f.payload.len()) as u32).to_be_bytes());
-                h[4..12].copy_from_slice(&f.src.to_be_bytes());
-                h[12..20].copy_from_slice(&f.dst.to_be_bytes());
-                h
-            })
-            .collect();
-        let mut slices = Vec::with_capacity(frames.len() * 2);
-        for (h, f) in headers.iter().zip(frames) {
-            slices.push(IoSlice::new(h));
-            slices.push(IoSlice::new(&f.payload));
+    /// Writes a same-peer group of frames under the peer's write lock. A
+    /// failed write evicts the connection (unless another sender already
+    /// replaced it), so the next send redials.
+    fn write_group(&self, peer: SocketAddr, frames: &[Frame]) -> RpcResult<()> {
+        if frames.iter().any(|f| 16 + f.payload.len() > MAX_FRAME_LEN) {
+            return Err(RpcError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("frame longer than {MAX_FRAME_LEN} bytes"),
+            )));
         }
-        let total: usize = slices.iter().map(|s| s.len()).sum();
-        let mut stream = self
-            .connection_to(peer)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        let mut written = stream.write_vectored(&slices)?;
-        if written < total {
-            let mut rest = Vec::with_capacity(total - written);
-            for s in &slices {
-                if written >= s.len() {
-                    written -= s.len();
-                    continue;
-                }
-                rest.extend_from_slice(&s[written..]);
-                written = 0;
+        let conn = self.connection_to(peer)?;
+        conn.write(frames).map_err(|e| {
+            let mut conns = self.conns.lock();
+            if conns.get(&peer).is_some_and(|c| Arc::ptr_eq(c, &conn)) {
+                conns.remove(&peer);
             }
-            stream.write_all(&rest)?;
-        }
-        Ok(())
+            RpcError::Io(e)
+        })
     }
 }
 
@@ -406,30 +471,19 @@ impl Link for TcpLink {
                     .get(&frame.dst)
                     .ok_or(RpcError::UnknownEndpoint(frame.dst))?
             };
-            let mut stream = match self.connection_to(peer) {
-                Ok(s) => s,
-                Err(e) => {
-                    last_err = Some(e);
-                    continue;
-                }
-            };
-            match write_frame(&mut stream, &frame) {
+            match self.write_group(peer, std::slice::from_ref(&frame)) {
                 Ok(()) => return Ok(()),
-                Err(e) => {
-                    // Connection died; drop it so the retry redials.
-                    self.conns.lock().remove(&peer);
-                    last_err = Some(RpcError::Io(e));
-                }
+                Err(e) => last_err = Some(e),
             }
         }
         Err(last_err.unwrap_or(RpcError::Disconnected))
     }
 
     /// Groups frames by resolved peer (preserving per-peer order) and
-    /// writes each group with one vectored syscall. A group whose vectored
-    /// write fails evicts the cached connection and falls back to
-    /// per-frame [`TcpLink::send`], which redials — so one stale peer
-    /// costs one redial, not the batch.
+    /// writes each group with vectored syscalls under the peer's write
+    /// lock. A group whose write fails evicts the cached connection and
+    /// falls back to per-frame [`TcpLink::send`], which redials — so one
+    /// stale peer costs one redial, not the batch.
     fn send_batch(&self, frames: Vec<Frame>) -> usize {
         let mut groups: Vec<(SocketAddr, Vec<Frame>)> = Vec::new();
         {
@@ -449,7 +503,6 @@ impl Link for TcpLink {
             match self.write_group(peer, &group) {
                 Ok(()) => sent += group.len(),
                 Err(_) => {
-                    self.conns.lock().remove(&peer);
                     sent += group.into_iter().filter_map(|f| self.send(f).ok()).count();
                 }
             }
@@ -781,6 +834,104 @@ mod tests {
             let f = b.incoming().recv_timeout(Duration::from_secs(5)).unwrap();
             assert_eq!(f.payload[0] % 2, 0);
         }
+    }
+
+    #[test]
+    fn tcp_concurrent_large_sends_to_one_peer_never_interleave() {
+        const THREADS: u8 = 4;
+        const PER_THREAD: u8 = 6;
+        // Larger than a loopback socket buffer, so writes come back short.
+        const LEN: usize = 1 << 20;
+        let a = TcpLink::bind("127.0.0.1:0").unwrap();
+        let b = TcpLink::bind("127.0.0.1:0").unwrap();
+        a.add_route(2, b.local_addr());
+        let senders: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let a = a.clone();
+                std::thread::spawn(move || {
+                    for seq in 0..PER_THREAD {
+                        let frame = Frame {
+                            src: t as u64,
+                            dst: 2,
+                            payload: vec![t * PER_THREAD + seq; LEN],
+                        };
+                        if seq % 2 == 0 {
+                            a.send(frame).unwrap();
+                        } else {
+                            assert_eq!(a.send_batch(vec![frame]), 1);
+                        }
+                    }
+                })
+            })
+            .collect();
+        let mut next_seq = vec![0u8; THREADS as usize];
+        for _ in 0..THREADS as usize * PER_THREAD as usize {
+            let f = b.incoming().recv_timeout(Duration::from_secs(10)).unwrap();
+            let t = f.src as u8;
+            assert_eq!(f.payload.len(), LEN, "frame from sender {t} cut short");
+            let want = t * PER_THREAD + next_seq[t as usize];
+            assert!(f.payload.iter().all(|&byte| byte == want), "frame mixed");
+            next_seq[t as usize] += 1;
+        }
+        for s in senders {
+            s.join().unwrap();
+        }
+        assert!(next_seq.iter().all(|&n| n == PER_THREAD));
+        assert_eq!(b.rejected_frames(), 0);
+    }
+
+    fn assert_closed_by_peer(stream: &mut TcpStream) {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        match stream.read(&mut [0u8; 1]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("connection not closed by the peer: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn tcp_forged_length_is_rejected_and_the_link_keeps_working() {
+        let b = TcpLink::bind("127.0.0.1:0").unwrap();
+        let mut forged = TcpStream::connect(b.local_addr()).unwrap();
+        // Length 0xFFFF_FFFF and no body: a reader that allocated and read
+        // the body first would wait here forever instead of disconnecting.
+        forged.write_all(&[0xFF; 4]).unwrap();
+        assert_closed_by_peer(&mut forged);
+        assert_eq!(b.rejected_frames(), 1);
+        assert_eq!(b.inbound_drops(), 0);
+        assert!(b.incoming().is_empty());
+
+        // A header shorter than the address bytes is rejected the same way.
+        let mut short = TcpStream::connect(b.local_addr()).unwrap();
+        short.write_all(&15u32.to_be_bytes()).unwrap();
+        assert_closed_by_peer(&mut short);
+        assert_eq!(b.rejected_frames(), 2);
+
+        let a = TcpLink::bind("127.0.0.1:0").unwrap();
+        a.add_route(2, b.local_addr());
+        a.send(Frame {
+            src: 1,
+            dst: 2,
+            payload: vec![9; MAX_FRAME_LEN - 16],
+        })
+        .unwrap();
+        let f = b.incoming().recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(
+            f.payload.len(),
+            MAX_FRAME_LEN - 16,
+            "the largest frame passes"
+        );
+        // A sender refuses a frame its peer would reject.
+        let too_long = Frame {
+            src: 1,
+            dst: 2,
+            payload: vec![9; MAX_FRAME_LEN - 15],
+        };
+        assert!(matches!(a.send(too_long.clone()), Err(RpcError::Io(_))));
+        assert_eq!(a.send_batch(vec![too_long]), 0);
+        assert_eq!(b.rejected_frames(), 2);
     }
 
     #[test]
