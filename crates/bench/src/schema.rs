@@ -320,9 +320,16 @@ pub fn validate_bench(doc: &Value, kind: ArtifactKind) -> Vec<String> {
     let mut errors = Vec::new();
     let e = &mut errors;
     check_version(doc, e);
-    let (top, row_keys): (&[&str], &[&str]) = match kind {
+    let (top, row_keys, summary_keys): (&[&str], &[&str], &[&str]) = match kind {
         ArtifactKind::LoadScale => (
-            &["seed", "rows", "summary"],
+            &[
+                "seed",
+                "duration_ms",
+                "smoke",
+                "v0005_clean",
+                "rows",
+                "summary",
+            ],
             &[
                 "group",
                 "shards",
@@ -333,6 +340,7 @@ pub fn validate_bench(doc: &Value, kind: ArtifactKind) -> Vec<String> {
                 "elapsed_ms",
                 "msgs_per_sec",
             ],
+            &["max_shards", "shard_speedup", "batch_ref", "batch_speedup"],
         ),
         ArtifactKind::Overload => (
             &[
@@ -357,6 +365,13 @@ pub fn validate_bench(doc: &Value, kind: ArtifactKind) -> Vec<String> {
                 "queue_peak",
                 "servable",
                 "goodput_ratio",
+                "violation",
+            ],
+            &[
+                "pass",
+                "goodput_ratio_2x_shedding",
+                "goodput_ratio_2x_naive",
+                "expired_executions_with_shedding",
             ],
         ),
         ArtifactKind::Jit => (
@@ -371,6 +386,11 @@ pub fn validate_bench(doc: &Value, kind: ArtifactKind) -> Vec<String> {
                 "forwarded",
                 "dropped",
                 "aborted",
+            ],
+            &[
+                "jit_speedup",
+                "fused_jit_vs_fused_interp",
+                "verdicts_identical",
             ],
         ),
         ArtifactKind::Matrix | ArtifactKind::Simseed => {
@@ -388,6 +408,11 @@ pub fn validate_bench(doc: &Value, kind: ArtifactKind) -> Vec<String> {
             // policy thresholds CI asserts separately.
             if kind == ArtifactKind::LoadScale {
                 for (i, row) in rows.iter().enumerate() {
+                    if let Some(group) = row.get("group").and_then(Value::as_str) {
+                        if !["shards", "batch"].contains(&group) {
+                            e.push(format!("rows[{i}]: unknown group {group:?}"));
+                        }
+                    }
                     let offered = row.get("offered").and_then(Value::as_u64);
                     let completed = row.get("completed").and_then(Value::as_u64);
                     if offered.is_some() && offered != completed {
@@ -410,8 +435,11 @@ pub fn validate_bench(doc: &Value, kind: ArtifactKind) -> Vec<String> {
         Some(_) => e.push("rows array is empty".to_string()),
         None => e.push("rows missing or not an array".to_string()),
     }
-    if doc.get("summary").and_then(Value::as_object).is_none() {
-        e.push("summary missing or not an object".to_string());
+    match doc.get("summary") {
+        Some(summary) if summary.as_object().is_some() => {
+            check_keys(summary, summary_keys, "summary", e)
+        }
+        _ => e.push("summary missing or not an object".to_string()),
     }
     errors
 }
@@ -482,8 +510,11 @@ mod tests {
             "bench": "load_scale",
             "schema_version": 1,
             "seed": 7,
+            "duration_ms": 500,
+            "smoke": true,
+            "v0005_clean": true,
             "rows": (vec![serde_json::json!({
-                "group": "app",
+                "group": "shards",
                 "shards": 2,
                 "batch": 4,
                 "service_us": 100,
@@ -492,9 +523,32 @@ mod tests {
                 "elapsed_ms": 10.0,
                 "msgs_per_sec": 51200.0
             })]),
-            "summary": {"v0005_clean": true}
+            "summary": {
+                "max_shards": 2, "shard_speedup": 1.9, "batch_ref": 1, "batch_speedup": 1.1
+            }
         });
         assert_eq!(validate(&good), Ok(ArtifactKind::LoadScale));
+
+        // Every key CI's policy asserts read must be present.
+        for key in ["duration_ms", "smoke", "v0005_clean"] {
+            let mut bad = good.clone();
+            if let Value::Object(map) = &mut bad {
+                map.remove(key);
+            }
+            let errors = validate(&bad).unwrap_err();
+            assert!(errors.iter().any(|e| e.contains(key)), "{errors:?}");
+        }
+        let mut bad = good.clone();
+        if let Value::Object(map) = &mut bad {
+            if let Some(Value::Object(summary)) = map.get_mut("summary") {
+                summary.remove("batch_speedup");
+            }
+        }
+        let errors = validate(&bad).unwrap_err();
+        assert!(
+            errors.iter().any(|e| e.contains("batch_speedup")),
+            "{errors:?}"
+        );
 
         // Dropped calls violate the closed-loop shape invariant.
         let mut bad = good.clone();

@@ -5,13 +5,17 @@
 //! the compiled version of the RPC processing logic from the control plane
 //! and periodically sends reports ... back to the controller."
 //!
-//! * [`processor`] — a standalone processor endpoint: a thread that decodes
-//!   frames from the virtual link layer, runs its engine chain, and
-//!   forwards. Processors NAT themselves into the path (rewriting `src` and
-//!   keeping a call-id flow table) so responses traverse the same chain in
-//!   reverse — the same trick sidecars use. A control channel supports
-//!   pause / snapshot / restore / drain / hot-chain-swap, the primitives
-//!   live migration is built from.
+//! * [`processor`] — a standalone processor endpoint. [`ProcessorCore`]
+//!   is the processor without a thread, channel or clock: it classifies a
+//!   batch of frames, admits, decodes, runs its engine chain and turns
+//!   verdicts into outbound frames plus one typed outcome per frame.
+//!   Processors NAT themselves into the path (rewriting `src` and keeping
+//!   a call-id flow table) so responses traverse the same chain in
+//!   reverse — the same trick sidecars use. [`spawn_processor`] pumps
+//!   frames from the virtual link layer through a core on a thread, with a
+//!   control channel for pause / snapshot / restore / drain /
+//!   hot-chain-swap, the primitives live migration is built from; the
+//!   simulator drives the same core on virtual time.
 //! * [`scaleout`] — Figure 2 Configuration 4: a shard router endpoint in
 //!   front of N processor instances, sharding by a request field so keyed
 //!   element state stays shard-local.
@@ -25,8 +29,8 @@ pub mod scaleout;
 pub mod shard;
 
 pub use processor::{
-    spawn_processor, NextHop, OverloadPolicy, ProcessorConfig, ProcessorHandle, ProcessorStats,
-    StatsSnapshot, DEFAULT_BATCH_MAX,
+    spawn_processor, Fate, NextHop, Outcome, Outputs, OverloadPolicy, ProcessorConfig,
+    ProcessorCore, ProcessorHandle, ProcessorStats, StatsSnapshot, DEFAULT_BATCH_MAX,
 };
 pub use scaleout::{spawn_sharded, ShardedConfig, ShardedHandle};
 pub use shard::{spawn_processor_sharded, ShardedProcessor};

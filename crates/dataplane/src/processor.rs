@@ -1,4 +1,7 @@
-//! Standalone ADN processor endpoints.
+//! Standalone ADN processor endpoints: [`ProcessorCore`], the processor
+//! as one sans-IO step over a batch of frames, and [`spawn_processor`],
+//! the thread that pumps frames, control messages and heartbeats through
+//! it. The deterministic simulator drives the same core.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -592,6 +595,76 @@ impl Drop for ProcessorHandle {
     }
 }
 
+/// What a [`ProcessorCore`] did with one inbound frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fate {
+    /// The chain ran and forwarded the message.
+    Forward,
+    /// The chain ran and dropped the message.
+    Drop,
+    /// The chain ran and aborted the message with this code: a request's
+    /// caller gets an aborted reply, a response travels home aborted.
+    Abort(u32),
+    /// The chain ran and a stage shed the message: a request's caller gets
+    /// a Shed reply, a response travels home with its status rewritten.
+    ChainShed,
+    /// A retransmission answered from a dedup cache without running the
+    /// chain. `deferred` marks an in-batch duplicate, replayed once the
+    /// frame holding its key had executed.
+    Replay { deferred: bool },
+    /// Admission refused a request of this priority (below the backlog's
+    /// floor) with a fast-fail Shed reply.
+    Shed(Priority),
+    /// Admission dropped a request whose deadline budget was exhausted.
+    Expired,
+    /// A response with neither a flow entry nor a cached reply.
+    Stale,
+    /// The payload did not parse.
+    Malformed,
+}
+
+impl Fate {
+    /// Whether the chain executed for this frame.
+    pub fn ran_chain(self) -> bool {
+        matches!(
+            self,
+            Fate::Forward | Fate::Drop | Fate::Abort(_) | Fate::ChainShed
+        )
+    }
+}
+
+/// The typed outcome of one inbound frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Outcome {
+    /// Request or response; `None` when the envelope did not parse.
+    pub kind: Option<MessageKind>,
+    /// The frame's call id (0 when the envelope did not parse).
+    pub call_id: u64,
+    /// What happened to the frame.
+    pub fate: Fate,
+    /// Whether an outbound frame left: in [`Outputs::forwards`] when the
+    /// chain ran, in [`Outputs::replays`] otherwise.
+    pub sent: bool,
+    /// The inbound trace context of a message the chain ran on.
+    pub trace: Option<TraceContext>,
+}
+
+/// What one [`ProcessorCore::on_batch`] step produced. Every field is
+/// cleared at the start of a step, so one value serves a whole run.
+#[derive(Debug, Default)]
+pub struct Outputs {
+    /// Fresh chain outputs, in input order. The driver counts the ones the
+    /// link accepts in [`StatsSnapshot::forwarded`].
+    pub forwards: Vec<Frame>,
+    /// Dedup replays and admission Shed replies, never counted forwarded.
+    pub replays: Vec<Frame>,
+    /// One outcome per input frame, in input order, except that in-batch
+    /// duplicates come last, after the batch they waited for. Walking
+    /// them in order and taking the next frame of the queue each sent one
+    /// names pairs every outcome with its frame.
+    pub outcomes: Vec<Outcome>,
+}
+
 /// Per-message bookkeeping carried from batch classification to verdict
 /// handling.
 struct RunMeta {
@@ -599,6 +672,8 @@ struct RunMeta {
     /// Inbound trace context (forwards re-parent on this hop).
     ctx: Option<TraceContext>,
     origin: Origin,
+    /// Index of this message's entry in [`Outputs::outcomes`].
+    slot: usize,
 }
 
 /// What kind of traffic a runnable message is, plus the identifiers the
@@ -619,24 +694,512 @@ enum Origin {
 /// A frame set aside during classification because an earlier frame in the
 /// same batch holds its dedup key: its outcome is replayed from the cache
 /// once the batch has executed, exactly as sequential processing would.
+#[derive(Clone, Copy)]
 enum Deferred {
     Request((EndpointAddr, u64)),
     Response(u64),
 }
 
+/// The processor itself, without a thread, a channel or a clock: one
+/// implementation of classify → admission → chain → verdict → deferred
+/// replay. [`spawn_processor`] pumps frames from a channel through it; the
+/// deterministic simulator drives the same value on virtual time. The
+/// driver measures queue wait and backlog and hands them in with each
+/// batch.
+pub struct ProcessorCore {
+    addr: EndpointAddr,
+    service: Arc<ServiceSchema>,
+    chain: EngineChain,
+    request_next: NextHop,
+    response_next: NextHop,
+    overload: OverloadPolicy,
+    /// NAT flow table: call id → original requester. Shared so a handle
+    /// can still export the flows of a crashed processor.
+    flows: Arc<parking_lot::Mutex<HashMap<u64, EndpointAddr>>>,
+    /// At-most-once caches. Requests key on (pre-NAT src, call id) and
+    /// cache the outbound frame, so a retransmission replays the forward
+    /// without re-running the chain or re-inserting the flow. Responses key
+    /// on call id and cache the post-chain reply, so a response
+    /// retransmitted after its flow entry was consumed still reaches the
+    /// requester instead of looping back to us.
+    req_cache: DedupWindow<(EndpointAddr, u64), Option<Frame>>,
+    resp_cache: DedupWindow<u64, Option<Frame>>,
+    stats: Arc<ProcessorStats>,
+    /// Inbound payloads return here after decode and outbound encodes draw
+    /// from here, so the steady-state hot path does not allocate per
+    /// message.
+    pool: BufferPool,
+    observer: Option<HopObserver>,
+    runnable: Vec<RpcMessage>,
+    meta: Vec<RunMeta>,
+    verdicts: Vec<Verdict>,
+    deferred: Vec<Deferred>,
+}
+
+impl ProcessorCore {
+    /// Builds the core a config describes. The pump-only fields (`clock`,
+    /// `inbox_capacity`) are ignored; `batch_max` sizes the buffer pool.
+    pub fn new(config: ProcessorConfig) -> Self {
+        let batch_max = config.batch_max.max(1);
+        Self {
+            observer: config
+                .telemetry
+                .map(|t| HopObserver::new(t, config.addr, &config.chain)),
+            addr: config.addr,
+            service: config.service,
+            chain: config.chain,
+            request_next: config.request_next,
+            response_next: config.response_next,
+            overload: config.overload,
+            flows: Arc::new(parking_lot::Mutex::new(config.initial_flows)),
+            req_cache: DedupWindow::new(PROCESSOR_DEDUP_WINDOW),
+            resp_cache: DedupWindow::new(PROCESSOR_DEDUP_WINDOW),
+            stats: Arc::default(),
+            pool: BufferPool::new(512, 2 * batch_max),
+            runnable: Vec::with_capacity(batch_max),
+            meta: Vec::with_capacity(batch_max),
+            verdicts: Vec::with_capacity(batch_max),
+            deferred: Vec::new(),
+        }
+    }
+
+    /// Counter snapshot.
+    pub fn stats(&self) -> StatsSnapshot {
+        self.stats.snapshot()
+    }
+
+    /// Where requests go after processing.
+    pub fn request_next(&self) -> NextHop {
+        self.request_next
+    }
+
+    /// Re-points where requests go after processing.
+    pub fn set_request_next(&mut self, next: NextHop) {
+        self.request_next = next;
+    }
+
+    /// Replaces the overload/admission policy.
+    pub fn set_overload(&mut self, overload: OverloadPolicy) {
+        self.overload = overload;
+    }
+
+    /// The chain's per-engine state images.
+    pub fn export_state(&self) -> Vec<Vec<u8>> {
+        self.chain.export_states()
+    }
+
+    /// Imports per-engine state images into the chain.
+    pub fn import_state(&mut self, images: &[Vec<u8>]) -> Result<(), String> {
+        self.chain.import_states(images)
+    }
+
+    /// Replaces the chain (hot update), returning the old chain's state
+    /// images. Flows and dedup caches stay.
+    pub fn install_chain(&mut self, chain: EngineChain) -> Vec<Vec<u8>> {
+        let old = std::mem::replace(&mut self.chain, chain);
+        if let Some(obs) = self.observer.as_mut() {
+            obs.rebind(&self.chain);
+        }
+        old.export_states()
+    }
+
+    /// Runs one batch: every frame gets an envelope peek; retransmissions,
+    /// stale responses and refused requests settle right there, without a
+    /// full decode. `queue_ns` is how long the batch waited (charged to
+    /// each deadline budget) and `backlog` the frames still queued behind
+    /// it (the shed ladder's input).
+    pub fn on_batch(
+        &mut self,
+        queue_ns: u64,
+        backlog: usize,
+        frames: impl IntoIterator<Item = Frame>,
+        out: &mut Outputs,
+    ) {
+        out.forwards.clear();
+        out.replays.clear();
+        out.outcomes.clear();
+        for frame in frames {
+            if let Some(outcome) = self.classify(frame, queue_ns, backlog, out) {
+                out.outcomes.push(outcome);
+            }
+        }
+
+        // At most one fresh frame per runnable message: size the queue
+        // once, since a driver that hands it to `send_batch` leaves none.
+        out.forwards.reserve(self.runnable.len());
+
+        // Run the chain and turn verdicts into outbound frames. Unsampled
+        // batches (the common case) take the engine-major batch entry
+        // point; a batch containing any sampled message falls back to
+        // per-message processing so stage timings and spans attribute to
+        // the right message.
+        let mut runnable = std::mem::take(&mut self.runnable);
+        let mut meta = std::mem::take(&mut self.meta);
+        if meta.iter().any(|m| m.sampled) {
+            for (mut msg, m) in runnable.drain(..).zip(meta.drain(..)) {
+                let verdict = match (&mut self.observer, m.sampled) {
+                    (Some(obs), true) => {
+                        let v = self.chain.process_timed(&mut msg, &mut obs.stage_ns);
+                        obs.record_stages(&v);
+                        v
+                    }
+                    _ => self.chain.process(&mut msg),
+                };
+                let call_id = msg.call_id;
+                let forward = verdict.is_forward();
+                // Every request outcome and forwarded/dropped responses
+                // emit a span; response aborts do not.
+                let emit = !(matches!(m.origin, Origin::Response { .. })
+                    && matches!(verdict, Verdict::Abort { .. }));
+                let serialize = Instant::now();
+                self.apply(verdict, msg, &m, out);
+                if let (Some(obs), Some(c), true, true) = (&self.observer, &m.ctx, m.sampled, emit)
+                {
+                    let ser_ns = if forward {
+                        serialize.elapsed().as_nanos() as u64
+                    } else {
+                        0
+                    };
+                    obs.emit_span(c, call_id, queue_ns, ser_ns);
+                }
+            }
+        } else {
+            let mut verdicts = std::mem::take(&mut self.verdicts);
+            self.chain.process_batch(&mut runnable, &mut verdicts);
+            for ((msg, m), verdict) in runnable
+                .drain(..)
+                .zip(meta.drain(..))
+                .zip(verdicts.drain(..))
+            {
+                self.apply(verdict, msg, &m, out);
+            }
+            self.verdicts = verdicts;
+        }
+        self.runnable = runnable;
+        self.meta = meta;
+
+        // Deferred in-batch duplicates replay the (now recorded) outcome
+        // of their first instance. Every runnable key was cached above, so
+        // a miss means the window evicted it; the chain already ran for
+        // that key, and nothing is resent.
+        for d in self.deferred.drain(..) {
+            let (kind, call_id, cached) = match d {
+                Deferred::Request(key) => (MessageKind::Request, key.1, self.req_cache.get(&key)),
+                Deferred::Response(call_id) => (
+                    MessageKind::Response,
+                    call_id,
+                    self.resp_cache.get(&call_id),
+                ),
+            };
+            self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
+            out.outcomes.push(Outcome {
+                kind: Some(kind),
+                call_id,
+                fate: Fate::Replay { deferred: true },
+                sent: replay(cached.and_then(Option::as_ref), &mut out.replays),
+                trace: None,
+            });
+        }
+    }
+
+    /// Settles one frame at the envelope, or decodes it into the runnable
+    /// set (returning a placeholder outcome that [`Self::apply`] fills).
+    /// `None` means the frame was deferred behind an earlier one.
+    fn classify(
+        &mut self,
+        frame: Frame,
+        queue_ns: u64,
+        backlog: usize,
+        out: &mut Outputs,
+    ) -> Option<Outcome> {
+        let payload = frame.payload;
+        let Ok(env) = wire_format::peek_envelope(&payload) else {
+            self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
+            self.pool.give(payload);
+            return Some(Outcome {
+                kind: None,
+                call_id: 0,
+                fate: Fate::Malformed,
+                sent: false,
+                trace: None,
+            });
+        };
+        let settled = |fate, sent| {
+            Some(Outcome {
+                kind: Some(env.kind),
+                call_id: env.call_id,
+                fate,
+                sent,
+                trace: None,
+            })
+        };
+        let (msg, origin) =
+            match env.kind {
+                MessageKind::Request => {
+                    let key = (env.src, env.call_id);
+                    if self
+                        .meta
+                        .iter()
+                        .any(|m| matches!(m.origin, Origin::Request { key: k, .. } if k == key))
+                    {
+                        self.deferred.push(Deferred::Request(key));
+                        self.pool.give(payload);
+                        return None;
+                    }
+                    if let Some(cached) = self.req_cache.get(&key) {
+                        // Retransmission: replay the recorded outcome without
+                        // re-running the chain (at-most-once through stateful
+                        // elements) or re-inserting the flow.
+                        self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                        let sent = replay(cached.as_ref(), &mut out.replays);
+                        self.pool.give(payload);
+                        return settled(Fate::Replay { deferred: false }, sent);
+                    }
+                    // Admission control, straight off the envelope: refused
+                    // frames never pay a full decode or the chain. The hop
+                    // first charges the batch's queue wait against the
+                    // in-band budget.
+                    let remaining = env.deadline.map(|d| d.consume(queue_ns));
+                    if self.overload.drop_expired && remaining.is_some_and(|d| d.expired()) {
+                        // The caller already gave up. Counted, never cached: a
+                        // retry arrives with a fresh budget and is judged
+                        // afresh.
+                        self.stats.expired_drops.fetch_add(1, Ordering::Relaxed);
+                        self.pool.give(payload);
+                        return settled(Fate::Expired, false);
+                    }
+                    // Unstamped traffic rides as Normal: brownout (floor
+                    // Normal) never touches it, deep overload (floor above
+                    // Normal) sheds it like any other non-critical class.
+                    let priority = remaining.map_or(Priority::Normal, |d| d.priority);
+                    if priority < self.overload.admission_floor(backlog) {
+                        // Fast-fail refusal: a Shed reply tells the client to
+                        // back off instead of letting its attempt time out
+                        // into a retry storm. Not dedup-cached: the request
+                        // never ran, so a later retry is a fresh decision.
+                        self.stats.shed.fetch_add(1, Ordering::Relaxed);
+                        self.pool.give(payload);
+                        let mut sent = false;
+                        if let Some(method) = self.service.method_by_id(env.method_id) {
+                            let mut r = RpcMessage::request(
+                                env.call_id,
+                                env.method_id,
+                                method.response.clone(),
+                            );
+                            r.kind = MessageKind::Response;
+                            r.status = RpcStatus::Shed;
+                            r.src = self.addr;
+                            r.dst = env.src;
+                            r.trace = env.trace;
+                            r.deadline = remaining;
+                            if let Some(frame) = encode_out(&self.pool, self.addr, env.src, &r) {
+                                out.replays.push(frame);
+                                sent = true;
+                            }
+                        }
+                        return settled(Fate::Shed(priority), sent);
+                    }
+                    let Some(mut msg) = self.decode(payload) else {
+                        return settled(Fate::Malformed, false);
+                    };
+                    // The forwarded message carries the decremented budget:
+                    // downstream hops see strictly less.
+                    msg.deadline = remaining;
+                    self.stats.requests.fetch_add(1, Ordering::Relaxed);
+                    let orig_src = msg.src;
+                    (msg, Origin::Request { key, orig_src })
+                }
+                MessageKind::Response => {
+                    let call_id = env.call_id;
+                    if self.meta.iter().any(
+                        |m| matches!(m.origin, Origin::Response { call_id: c } if c == call_id),
+                    ) {
+                        self.deferred.push(Deferred::Response(call_id));
+                        self.pool.give(payload);
+                        return None;
+                    }
+                    let Some(mut msg) = self.decode(payload) else {
+                        return settled(Fate::Malformed, false);
+                    };
+                    // NAT out: restore the original requester.
+                    let flow = self.flows.lock().remove(&call_id);
+                    let Some(orig_src) = flow else {
+                        // No flow entry: either a retransmitted response whose
+                        // flow was already consumed (replay the cached reply)
+                        // or a stale/foreign response whose NAT'd destination
+                        // is this processor itself (refuse it before the chain
+                        // — forwarding would self-loop).
+                        if let Some(cached) = self.resp_cache.get(&call_id) {
+                            self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                            let sent = replay(cached.as_ref(), &mut out.replays);
+                            return settled(Fate::Replay { deferred: false }, sent);
+                        }
+                        self.stats.stale_responses.fetch_add(1, Ordering::Relaxed);
+                        return settled(Fate::Stale, false);
+                    };
+                    self.stats.responses.fetch_add(1, Ordering::Relaxed);
+                    msg.dst = orig_src;
+                    // Responses charge their queue wait too, so the echoed
+                    // budget stays monotonic end to end.
+                    msg.deadline = msg.deadline.map(|d| d.consume(queue_ns));
+                    (msg, Origin::Response { call_id })
+                }
+            };
+        // Sampling: the in-band context wins (every hop of a sampled call
+        // agrees without coordination), otherwise the local sampler
+        // decides by call id.
+        let sampled = self
+            .observer
+            .as_ref()
+            .is_some_and(|o| o.sampled(msg.trace.as_ref(), msg.call_id));
+        self.meta.push(RunMeta {
+            sampled,
+            ctx: msg.trace,
+            origin,
+            slot: out.outcomes.len(),
+        });
+        self.runnable.push(msg);
+        settled(Fate::Forward, false)
+    }
+
+    /// Full decode of a chain-bound payload; the buffer returns to the pool
+    /// either way.
+    fn decode(&self, payload: Vec<u8>) -> Option<RpcMessage> {
+        let msg = wire_format::decode_message_exact(&payload, &self.service).ok();
+        if msg.is_none() {
+            self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        self.pool.give(payload);
+        msg
+    }
+
+    /// Applies a chain verdict to one message: NAT bookkeeping, trace
+    /// re-parenting, outbound encode, the at-most-once cache insert, and
+    /// the message's outcome. Fresh frames land in `out.forwards`.
+    fn apply(&mut self, verdict: Verdict, mut msg: RpcMessage, m: &RunMeta, out: &mut Outputs) {
+        let addr = self.addr;
+        let call_id = msg.call_id;
+        // Forwards re-parent the trace so downstream spans hang off this
+        // hop; replies to the caller keep the inbound context.
+        let reparent = |msg: &mut RpcMessage| {
+            if let Some(c) = &m.ctx {
+                msg.trace = Some(c.child_from(addr));
+            }
+        };
+        let (fate, send) = match (m.origin, verdict) {
+            (_, Verdict::Drop) => (Fate::Drop, None),
+            (Origin::Request { orig_src, .. }, Verdict::Forward) => {
+                // NAT in: responses will come back to us.
+                self.flows.lock().insert(call_id, orig_src);
+                reparent(&mut msg);
+                let to = self.request_next.resolve(msg.dst);
+                (Fate::Forward, Some((msg, to)))
+            }
+            (Origin::Request { orig_src, .. }, Verdict::Abort { code, message }) => (
+                Fate::Abort(code),
+                self.reply(&msg, orig_src, RpcStatus::Aborted { code, message }),
+            ),
+            // A chain element refused the request. Unlike the pre-chain
+            // admission shed, the chain partially ran, so the outcome is
+            // cached like an abort: a retransmission replays the refusal
+            // instead of re-driving stateful elements.
+            (Origin::Request { orig_src, .. }, Verdict::Shed) => {
+                (Fate::ChainShed, self.reply(&msg, orig_src, RpcStatus::Shed))
+            }
+            (Origin::Response { .. }, Verdict::Forward) => {
+                reparent(&mut msg);
+                let to = self.response_next.resolve(msg.dst);
+                (Fate::Forward, Some((msg, to)))
+            }
+            (Origin::Response { .. }, Verdict::Abort { code, message }) => {
+                msg.abort(code, message);
+                let to = msg.dst;
+                (Fate::Abort(code), Some((msg, to)))
+            }
+            // Shedding a response would waste the work already done
+            // upstream; rewrite the status instead so the client learns
+            // the path is overloaded, and forward it home.
+            (Origin::Response { .. }, Verdict::Shed) => {
+                msg.status = RpcStatus::Shed;
+                let to = self.response_next.resolve(msg.dst);
+                (Fate::ChainShed, Some((msg, to)))
+            }
+        };
+        let counter = match fate {
+            Fate::Drop => Some(&self.stats.dropped),
+            Fate::Abort(_) => Some(&self.stats.aborted),
+            Fate::ChainShed => Some(&self.stats.shed),
+            _ => None,
+        };
+        if let Some(counter) = counter {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        let frame = send.and_then(|(mut msg, to)| {
+            msg.src = addr;
+            encode_out(&self.pool, addr, to, &msg)
+        });
+        if let Some(f) = &frame {
+            out.forwards.push(f.clone());
+        }
+        let sent = frame.is_some();
+        let kind = match m.origin {
+            Origin::Request { key, .. } => {
+                self.req_cache.insert(key, frame);
+                MessageKind::Request
+            }
+            Origin::Response { call_id } => {
+                self.resp_cache.insert(call_id, frame);
+                MessageKind::Response
+            }
+        };
+        out.outcomes[m.slot] = Outcome {
+            kind: Some(kind),
+            call_id,
+            fate,
+            sent,
+            trace: m.ctx,
+        };
+    }
+
+    /// A reply to request `req`, addressed to its caller `to`.
+    fn reply(
+        &self,
+        req: &RpcMessage,
+        to: EndpointAddr,
+        status: RpcStatus,
+    ) -> Option<(RpcMessage, EndpointAddr)> {
+        let method = self.service.method_by_id(req.method_id)?;
+        let mut resp = RpcMessage::response_to(req, method.response.clone());
+        resp.status = status;
+        resp.dst = to;
+        Some((resp, to))
+    }
+}
+
+/// Queues a cached outbound frame for replay; whether there was one.
+fn replay(cached: Option<&Frame>, replays: &mut Vec<Frame>) -> bool {
+    replays.extend(cached.cloned());
+    cached.is_some()
+}
+
 /// Spawns a processor thread serving `config.addr` with frames from
-/// `frames` over `link`.
+/// `frames` over `link`: a pump around a [`ProcessorCore`] that adds
+/// control messages, heartbeats, the queue-depth gauge, queue-wait
+/// measurement and batched sends.
 pub fn spawn_processor(
     mut config: ProcessorConfig,
     link: Arc<dyn Link>,
     frames: Receiver<Frame>,
 ) -> ProcessorHandle {
     let (ctl_tx, ctl_rx) = crossbeam::channel::unbounded();
-    let stats = Arc::new(ProcessorStats::default());
-    let thread_stats = stats.clone();
-    let flows = Arc::new(parking_lot::Mutex::new(config.initial_flows.clone()));
-    let thread_flows = flows.clone();
     let clock = config.clock.take().unwrap_or_else(adn_rpc::clock::system);
+    let addr = config.addr;
+    let batch_max = config.batch_max.max(1);
+    let stats = Arc::new(ProcessorStats::default());
+    let flows = Arc::new(parking_lot::Mutex::new(std::mem::take(
+        &mut config.initial_flows,
+    )));
+    let (thread_stats, thread_flows) = (stats.clone(), flows.clone());
     // Born live: the spawn itself counts as a beat. Otherwise a failure
     // detector polling between spawn and the serve loop's first iteration
     // sees age = now − 0 and declares a newborn (e.g. a failover
@@ -645,54 +1208,30 @@ pub fn spawn_processor(
     let beat = Arc::new(AtomicU64::new(clock.now().as_nanos() as u64));
     let thread_beat = beat.clone();
     let thread_clock = clock.clone();
-    let addr = config.addr;
 
     let join = std::thread::Builder::new()
         .name(format!("adn-processor-{addr}"))
         .spawn(move || {
-            let ProcessorConfig {
-                addr,
-                service,
-                mut chain,
-                mut request_next,
-                response_next,
-                initial_flows: _,
-                telemetry,
-                clock: _,
-                batch_max,
-                mut overload,
-                inbox_capacity: _,
-            } = config;
-            let batch_max = batch_max.max(1);
-            let mut observer = telemetry.map(|t| HopObserver::new(t, addr, &chain));
+            // The core (metric series, caches, pool) is built on the serve
+            // thread, off the spawner's path; the handle shares its
+            // counters and flow table.
+            let stats = thread_stats.clone();
+            let mut core = ProcessorCore {
+                stats: thread_stats,
+                flows: thread_flows,
+                ..ProcessorCore::new(config)
+            };
             // When the previous batch finished, on the processor's clock: a
             // frame pulled from a non-empty queue has been waiting at least
             // since then (the queue-wait approximation spans record). Read
             // through `Clock`, not `Instant`, so queue-wait is deterministic
-            // under the simulator's virtual time.
+            // under a virtual clock.
             let mut last_done = thread_clock.now();
             let mut paused = false;
             let mut stopping = false;
             let mut crashed = false;
-            // Inbound payloads return here after decode and outbound encodes
-            // draw from here, so the steady-state hot path does not allocate
-            // per message.
-            let pool = BufferPool::new(512, 2 * batch_max);
             let mut batch: Vec<Frame> = Vec::with_capacity(batch_max);
-            let mut runnable: Vec<RpcMessage> = Vec::with_capacity(batch_max);
-            let mut meta: Vec<RunMeta> = Vec::with_capacity(batch_max);
-            let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch_max);
-            let mut deferred: Vec<Deferred> = Vec::new();
-            // At-most-once caches. Requests key on (pre-NAT src, call id) and
-            // cache the outbound frame, so a retransmission replays the
-            // forward without re-running the chain or re-inserting the flow.
-            // Responses key on call id and cache the post-chain reply, so a
-            // response retransmitted after its flow entry was consumed still
-            // reaches the requester instead of looping back to us.
-            let mut req_cache: DedupWindow<(EndpointAddr, u64), Option<Frame>> =
-                DedupWindow::new(PROCESSOR_DEDUP_WINDOW);
-            let mut resp_cache: DedupWindow<u64, Option<Frame>> =
-                DedupWindow::new(PROCESSOR_DEDUP_WINDOW);
+            let mut out = Outputs::default();
 
             loop {
                 if crashed {
@@ -714,17 +1253,13 @@ pub fn spawn_processor(
                         }
                         Ctl::Resume => paused = false,
                         Ctl::ExportState(reply) => {
-                            let _ = reply.send(chain.export_states());
+                            let _ = reply.send(core.export_state());
                         }
                         Ctl::ImportState(images, reply) => {
-                            let _ = reply.send(chain.import_states(&images));
+                            let _ = reply.send(core.import_state(&images));
                         }
-                        Ctl::InstallChain(new_chain, reply) => {
-                            let old = std::mem::replace(&mut chain, new_chain);
-                            if let Some(obs) = observer.as_mut() {
-                                obs.rebind(&chain);
-                            }
-                            let _ = reply.send(old.export_states());
+                        Ctl::InstallChain(chain, reply) => {
+                            let _ = reply.send(core.install_chain(chain));
                         }
                         Ctl::Drain(reply) => {
                             let mut count = 0;
@@ -739,16 +1274,16 @@ pub fn spawn_processor(
                                 if link.send(frame.clone()).is_ok() || link.send(frame).is_ok() {
                                     count += 1;
                                 } else {
-                                    thread_stats.drain_drops.fetch_add(1, Ordering::Relaxed);
+                                    stats.drain_drops.fetch_add(1, Ordering::Relaxed);
                                 }
                             }
                             let _ = reply.send(count);
                         }
                         Ctl::Stop => return,
                         Ctl::StopWhenIdle => stopping = true,
-                        Ctl::SetRequestNext(next) => request_next = next,
+                        Ctl::SetRequestNext(next) => core.set_request_next(next),
                         Ctl::SetOverload(policy, reply) => {
-                            overload = policy;
+                            core.set_overload(policy);
                             let _ = reply.send(());
                         }
                         Ctl::Crash => crashed = true,
@@ -761,16 +1296,14 @@ pub fn spawn_processor(
                     // The gauge must keep tracking the backlog while intake
                     // is frozen — a paused processor with a growing queue is
                     // exactly what load-aware placement needs to see.
-                    thread_stats
+                    stats
                         .queue_depth
                         .store(frames.len() as u64, Ordering::Relaxed);
                     std::thread::sleep(Duration::from_millis(1));
                     continue;
                 }
                 let backlog = frames.len();
-                thread_stats
-                    .queue_depth
-                    .store(backlog as u64, Ordering::Relaxed);
+                stats.queue_depth.store(backlog as u64, Ordering::Relaxed);
                 let first = if stopping {
                     // Graceful retirement: drain what is queued, then exit.
                     match frames.try_recv() {
@@ -780,11 +1313,11 @@ pub fn spawn_processor(
                 } else {
                     match frames.recv_timeout(Duration::from_millis(20)) {
                         Ok(f) => f,
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                        Err(RecvTimeoutError::Timeout) => {
                             last_done = thread_clock.now();
                             continue;
                         }
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+                        Err(RecvTimeoutError::Disconnected) => return,
                     }
                 };
                 // Fill the batch opportunistically: everything already
@@ -799,7 +1332,7 @@ pub fn spawn_processor(
                 // Decay the gauge to the post-pull residue: the frames just
                 // pulled are no longer "waiting", and an idle processor must
                 // read zero rather than hold the last pre-drain depth.
-                thread_stats
+                stats
                     .queue_depth
                     .store(frames.len() as u64, Ordering::Relaxed);
                 // A frame pulled from a non-empty queue was waiting while
@@ -810,298 +1343,16 @@ pub fn spawn_processor(
                 } else {
                     0
                 };
-
-                // Phase 1 — classify. The shared header-parse fast path:
-                // every frame gets one envelope peek; retransmissions and
-                // stale responses are settled right here without a full
-                // decode. Only chain-bound messages decode their fields.
-                runnable.clear();
-                meta.clear();
-                deferred.clear();
-                let mut outbox: Vec<Frame> = Vec::with_capacity(batch.len());
-                let mut replays: Vec<Frame> = Vec::new();
-                for frame in batch.drain(..) {
-                    let payload = frame.payload;
-                    let env = match wire_format::peek_envelope(&payload) {
-                        Ok(e) => e,
-                        Err(_) => {
-                            thread_stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                            pool.give(payload);
-                            continue;
-                        }
-                    };
-                    match env.kind {
-                        MessageKind::Request => {
-                            let key = (env.src, env.call_id);
-                            if meta.iter().any(
-                                |m| matches!(m.origin, Origin::Request { key: k, .. } if k == key),
-                            ) {
-                                // An earlier frame in this batch holds the
-                                // key: replay its outcome after the batch.
-                                deferred.push(Deferred::Request(key));
-                                pool.give(payload);
-                                continue;
-                            }
-                            if let Some(cached) = req_cache.get(&key) {
-                                // Retransmission: replay the recorded
-                                // outcome without re-running the chain
-                                // (at-most-once through stateful elements)
-                                // or re-inserting the flow.
-                                thread_stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                                if let Some(out) = cached {
-                                    replays.push(out.clone());
-                                }
-                                pool.give(payload);
-                                continue;
-                            }
-                            // Admission control, straight off the envelope —
-                            // refused frames never pay a full decode or the
-                            // chain. The hop first charges the frame's
-                            // measured queue wait (read on the `Clock`
-                            // trait, so deterministic under the simulator)
-                            // against its in-band budget.
-                            let remaining = env.deadline.map(|d| d.consume(queue_ns));
-                            if overload.drop_expired
-                                && remaining.as_ref().is_some_and(|d| d.expired())
-                            {
-                                // The caller already gave up: executing this
-                                // would be pure waste. Counted, never cached
-                                // — a retry arrives with a fresh budget and
-                                // is judged afresh.
-                                thread_stats.expired_drops.fetch_add(1, Ordering::Relaxed);
-                                pool.give(payload);
-                                continue;
-                            }
-                            // Unstamped traffic rides as Normal: brownout
-                            // (floor Normal) never touches it, deep overload
-                            // (floor above Normal) sheds it like any other
-                            // non-critical class.
-                            let priority =
-                                remaining.as_ref().map_or(Priority::Normal, |d| d.priority);
-                            if priority < overload.admission_floor(backlog) {
-                                // Fast-fail refusal: a Shed reply tells the
-                                // client to back off instead of letting its
-                                // attempt time out into a retry storm. Not
-                                // dedup-cached — the request never ran, so a
-                                // later retry is a fresh admission decision.
-                                thread_stats.shed.fetch_add(1, Ordering::Relaxed);
-                                if let Some(method) = service.method_by_id(env.method_id) {
-                                    let mut r = RpcMessage::request(
-                                        env.call_id,
-                                        env.method_id,
-                                        method.response.clone(),
-                                    );
-                                    r.kind = MessageKind::Response;
-                                    r.status = RpcStatus::Shed;
-                                    r.src = addr;
-                                    r.dst = env.src;
-                                    r.deadline = remaining;
-                                    if let Some(frame) = encode_out(&pool, addr, env.src, &r) {
-                                        replays.push(frame);
-                                    }
-                                }
-                                pool.give(payload);
-                                continue;
-                            }
-                            let mut msg =
-                                match wire_format::decode_message_exact(&payload, &service) {
-                                    Ok(m) => m,
-                                    Err(_) => {
-                                        thread_stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                                        pool.give(payload);
-                                        continue;
-                                    }
-                                };
-                            pool.give(payload);
-                            // The forwarded message carries the decremented
-                            // budget: downstream hops see strictly less.
-                            msg.deadline = remaining;
-                            thread_stats.requests.fetch_add(1, Ordering::Relaxed);
-                            // Sampling: the in-band context wins (every hop
-                            // of a sampled call agrees without
-                            // coordination), otherwise the local sampler
-                            // decides by call id.
-                            let sampled = observer
-                                .as_ref()
-                                .is_some_and(|o| o.sampled(msg.trace.as_ref(), msg.call_id));
-                            meta.push(RunMeta {
-                                sampled,
-                                ctx: msg.trace,
-                                origin: Origin::Request {
-                                    key,
-                                    orig_src: msg.src,
-                                },
-                            });
-                            runnable.push(msg);
-                        }
-                        MessageKind::Response => {
-                            let call_id = env.call_id;
-                            if meta.iter().any(|m| {
-                                matches!(m.origin, Origin::Response { call_id: c } if c == call_id)
-                            }) {
-                                deferred.push(Deferred::Response(call_id));
-                                pool.give(payload);
-                                continue;
-                            }
-                            let mut msg =
-                                match wire_format::decode_message_exact(&payload, &service) {
-                                    Ok(m) => m,
-                                    Err(_) => {
-                                        thread_stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                                        pool.give(payload);
-                                        continue;
-                                    }
-                                };
-                            pool.give(payload);
-                            // NAT out: restore the original requester.
-                            let flow = thread_flows.lock().remove(&call_id);
-                            let Some(orig_src) = flow else {
-                                // No flow entry: either a retransmitted
-                                // response whose flow was already consumed
-                                // (replay the cached reply) or a
-                                // stale/foreign response whose NAT'd
-                                // destination is this processor itself
-                                // (drop it — forwarding would self-loop).
-                                if let Some(cached) = resp_cache.get(&call_id) {
-                                    thread_stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                                    if let Some(out) = cached {
-                                        replays.push(out.clone());
-                                    }
-                                } else {
-                                    thread_stats.stale_responses.fetch_add(1, Ordering::Relaxed);
-                                }
-                                continue;
-                            };
-                            thread_stats.responses.fetch_add(1, Ordering::Relaxed);
-                            msg.dst = orig_src;
-                            // Responses charge their queue wait too, so the
-                            // echoed budget stays monotonic end to end.
-                            msg.deadline = msg.deadline.map(|d| d.consume(queue_ns));
-                            let sampled = observer
-                                .as_ref()
-                                .is_some_and(|o| o.sampled(msg.trace.as_ref(), msg.call_id));
-                            meta.push(RunMeta {
-                                sampled,
-                                ctx: msg.trace,
-                                origin: Origin::Response { call_id },
-                            });
-                            runnable.push(msg);
-                        }
-                    }
+                core.on_batch(queue_ns, backlog, batch.drain(..), &mut out);
+                // One batched send for fresh forwards (these count toward
+                // `forwarded`, per successful frame) and one for replays
+                // (these never did).
+                if !out.forwards.is_empty() {
+                    let sent = link.send_batch(std::mem::take(&mut out.forwards));
+                    stats.forwarded.fetch_add(sent as u64, Ordering::Relaxed);
                 }
-
-                // Phase 2+3 — run the chain and turn verdicts into outbound
-                // frames. Unsampled batches (the common case) take the
-                // engine-major batch entry point; a batch containing any
-                // sampled message falls back to per-message processing so
-                // stage timings and spans attribute to the right message.
-                if meta.iter().any(|m| m.sampled) {
-                    for (mut msg, m) in runnable.drain(..).zip(meta.drain(..)) {
-                        let verdict = match (&mut observer, m.sampled) {
-                            (Some(obs), true) => {
-                                let v = chain.process_timed(&mut msg, &mut obs.stage_ns);
-                                obs.record_stages(&v);
-                                v
-                            }
-                            _ => chain.process(&mut msg),
-                        };
-                        let call_id = msg.call_id;
-                        let forward_verdict = verdict.is_forward();
-                        // Spans mirror the unbatched loop: every request
-                        // outcome and forwarded/dropped responses emit;
-                        // response aborts do not.
-                        let emit = !(matches!(m.origin, Origin::Response { .. })
-                            && matches!(verdict, Verdict::Abort { .. }));
-                        let serialize = Instant::now();
-                        handle_verdict(
-                            verdict,
-                            msg,
-                            m.origin,
-                            m.ctx,
-                            addr,
-                            request_next,
-                            response_next,
-                            &service,
-                            &thread_flows,
-                            &thread_stats,
-                            &pool,
-                            &mut req_cache,
-                            &mut resp_cache,
-                            &mut outbox,
-                        );
-                        if let (Some(obs), Some(c), true, true) =
-                            (&observer, &m.ctx, m.sampled, emit)
-                        {
-                            let ser_ns = if forward_verdict {
-                                serialize.elapsed().as_nanos() as u64
-                            } else {
-                                0
-                            };
-                            obs.emit_span(c, call_id, queue_ns, ser_ns);
-                        }
-                    }
-                } else {
-                    chain.process_batch(&mut runnable, &mut verdicts);
-                    for ((msg, m), verdict) in runnable
-                        .drain(..)
-                        .zip(meta.drain(..))
-                        .zip(verdicts.drain(..))
-                    {
-                        handle_verdict(
-                            verdict,
-                            msg,
-                            m.origin,
-                            m.ctx,
-                            addr,
-                            request_next,
-                            response_next,
-                            &service,
-                            &thread_flows,
-                            &thread_stats,
-                            &pool,
-                            &mut req_cache,
-                            &mut resp_cache,
-                            &mut outbox,
-                        );
-                    }
-                }
-
-                // Phase 4 — deferred in-batch duplicates replay the (now
-                // recorded) outcome of their first instance.
-                for d in deferred.drain(..) {
-                    match d {
-                        Deferred::Request(key) => {
-                            if let Some(cached) = req_cache.get(&key) {
-                                thread_stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                                if let Some(out) = cached {
-                                    replays.push(out.clone());
-                                }
-                            }
-                        }
-                        Deferred::Response(call_id) => {
-                            if let Some(cached) = resp_cache.get(&call_id) {
-                                thread_stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                                if let Some(out) = cached {
-                                    replays.push(out.clone());
-                                }
-                            } else {
-                                thread_stats.stale_responses.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
-
-                // Phase 5 — one batched send for fresh forwards (these count
-                // toward `forwarded`, per successful frame) and one for
-                // dedup replays (these never did).
-                if !outbox.is_empty() {
-                    let sent = link.send_batch(outbox);
-                    thread_stats
-                        .forwarded
-                        .fetch_add(sent as u64, Ordering::Relaxed);
-                }
-                if !replays.is_empty() {
-                    link.send_batch(replays);
+                if !out.replays.is_empty() {
+                    link.send_batch(std::mem::take(&mut out.replays));
                 }
                 last_done = thread_clock.now();
             }
@@ -1137,129 +1388,6 @@ fn encode_out(
     })
 }
 
-/// Applies a chain verdict to one message: NAT bookkeeping, trace
-/// re-parenting, outbound encode, and the at-most-once cache insert. Fresh
-/// forwards land in `outbox` (sent — and counted — once per batch).
-#[allow(clippy::too_many_arguments)]
-fn handle_verdict(
-    verdict: Verdict,
-    mut msg: RpcMessage,
-    origin: Origin,
-    ctx: Option<TraceContext>,
-    addr: EndpointAddr,
-    request_next: NextHop,
-    response_next: NextHop,
-    service: &ServiceSchema,
-    flows: &parking_lot::Mutex<HashMap<u64, EndpointAddr>>,
-    stats: &ProcessorStats,
-    pool: &BufferPool,
-    req_cache: &mut DedupWindow<(EndpointAddr, u64), Option<Frame>>,
-    resp_cache: &mut DedupWindow<u64, Option<Frame>>,
-    outbox: &mut Vec<Frame>,
-) {
-    match origin {
-        Origin::Request { key, orig_src } => match verdict {
-            Verdict::Forward => {
-                // NAT in: responses will come back to us.
-                flows.lock().insert(msg.call_id, orig_src);
-                msg.src = addr;
-                if let Some(c) = &ctx {
-                    // Downstream spans parent on this hop.
-                    msg.trace = Some(c.child_from(addr));
-                }
-                let to = request_next.resolve(msg.dst);
-                let out = encode_out(pool, addr, to, &msg);
-                if let Some(frame) = &out {
-                    outbox.push(frame.clone());
-                }
-                req_cache.insert(key, out);
-            }
-            Verdict::Drop => {
-                stats.dropped.fetch_add(1, Ordering::Relaxed);
-                req_cache.insert(key, None);
-            }
-            Verdict::Abort { code, message } => {
-                stats.aborted.fetch_add(1, Ordering::Relaxed);
-                // Reflect an aborted response to the caller.
-                let mut out = None;
-                if let Some(method) = service.method_by_id(msg.method_id) {
-                    let mut resp = RpcMessage::response_to(&msg, method.response.clone());
-                    resp.abort(code, message);
-                    resp.src = addr;
-                    resp.dst = orig_src;
-                    out = encode_out(pool, addr, orig_src, &resp);
-                    if let Some(frame) = &out {
-                        outbox.push(frame.clone());
-                    }
-                }
-                req_cache.insert(key, out);
-            }
-            Verdict::Shed => {
-                // A chain element refused the request. Unlike the pre-chain
-                // admission shed, the chain partially ran, so the outcome is
-                // cached like an abort: a retransmission replays the refusal
-                // instead of re-driving stateful elements.
-                stats.shed.fetch_add(1, Ordering::Relaxed);
-                let mut out = None;
-                if let Some(method) = service.method_by_id(msg.method_id) {
-                    let mut resp = RpcMessage::response_to(&msg, method.response.clone());
-                    resp.status = RpcStatus::Shed;
-                    resp.src = addr;
-                    resp.dst = orig_src;
-                    out = encode_out(pool, addr, orig_src, &resp);
-                    if let Some(frame) = &out {
-                        outbox.push(frame.clone());
-                    }
-                }
-                req_cache.insert(key, out);
-            }
-        },
-        Origin::Response { call_id } => match verdict {
-            Verdict::Forward => {
-                msg.src = addr;
-                if let Some(c) = &ctx {
-                    msg.trace = Some(c.child_from(addr));
-                }
-                let to = response_next.resolve(msg.dst);
-                let out = encode_out(pool, addr, to, &msg);
-                if let Some(frame) = &out {
-                    outbox.push(frame.clone());
-                }
-                resp_cache.insert(call_id, out);
-            }
-            Verdict::Drop => {
-                stats.dropped.fetch_add(1, Ordering::Relaxed);
-                resp_cache.insert(call_id, None);
-            }
-            Verdict::Abort { code, message } => {
-                stats.aborted.fetch_add(1, Ordering::Relaxed);
-                msg.abort(code, message);
-                msg.src = addr;
-                let to = msg.dst;
-                let out = encode_out(pool, addr, to, &msg);
-                if let Some(frame) = &out {
-                    outbox.push(frame.clone());
-                }
-                resp_cache.insert(call_id, out);
-            }
-            Verdict::Shed => {
-                // Shedding a response would waste the work already done
-                // upstream; rewrite the status instead so the client learns
-                // the path is overloaded, and forward it home.
-                stats.shed.fetch_add(1, Ordering::Relaxed);
-                msg.status = RpcStatus::Shed;
-                msg.src = addr;
-                let to = response_next.resolve(msg.dst);
-                let out = encode_out(pool, addr, to, &msg);
-                if let Some(frame) = &out {
-                    outbox.push(frame.clone());
-                }
-                resp_cache.insert(call_id, out);
-            }
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
@@ -1271,6 +1399,7 @@ mod tests {
     use adn_rpc::transport::InProcNetwork;
     use adn_rpc::value::{Value, ValueType};
     use adn_rpc::RpcError;
+    use adn_wire::header::OverloadContext;
 
     fn service() -> Arc<ServiceSchema> {
         let request = Arc::new(
@@ -1341,6 +1470,24 @@ mod tests {
                 }
             }
             Verdict::Forward
+        }
+    }
+
+    /// Forwards `x == 0`, aborts `x == 1` with code 9, sheds `x == 2`.
+    struct Refuse;
+    impl Engine for Refuse {
+        fn name(&self) -> &str {
+            "refuse"
+        }
+        fn process(&mut self, msg: &mut RpcMessage) -> Verdict {
+            match msg.get("x") {
+                Some(Value::U64(1)) => Verdict::Abort {
+                    code: 9,
+                    message: "refused".into(),
+                },
+                Some(Value::U64(2)) => Verdict::Shed,
+                _ => Verdict::Forward,
+            }
         }
     }
 
@@ -1612,122 +1759,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_request_replays_cached_outcome() {
-        let net = InProcNetwork::new();
-        let link: Arc<dyn Link> = Arc::new(net.clone());
-        let svc = service();
-        let svc2 = svc.clone();
-        let _server = spawn_server(
-            ServerConfig {
-                addr: 2,
-                service: svc.clone(),
-                chain: EngineChain::new(),
-            },
-            link.clone(),
-            net.attach(2),
-            Box::new(move |request| {
-                let m = svc2.method_by_id(request.method_id).unwrap();
-                let mut resp = RpcMessage::response_to(request, m.response.clone());
-                resp.set("x", request.get("x").unwrap().clone());
-                resp.set("who", Value::Str("server".into()));
-                resp
-            }),
-        );
-        let processor = spawn_processor(
-            ProcessorConfig::new(
-                5,
-                svc.clone(),
-                EngineChain::from_engines(vec![Box::new(CountAndStamp { count: 0 })]),
-                NextHop::Fixed(2),
-                NextHop::Dst,
-            ),
-            link.clone(),
-            net.attach(5),
-        );
-        let client_rx = net.attach(1);
-
-        // Hand-build one request and send the identical frame twice (what a
-        // resilient client's retransmission looks like on the wire).
-        let m = svc.method_by_id(1).unwrap();
-        let mut msg = RpcMessage::request(0, 1, m.request.clone())
-            .with("x", 4u64)
-            .with("who", "client");
-        msg.call_id = 99;
-        msg.src = 1;
-        msg.dst = 2;
-        let payload = wire_format::encode_message_to_vec(&msg).unwrap();
-        for _ in 0..2 {
-            net.send(Frame {
-                src: 1,
-                dst: 5,
-                payload: payload.clone(),
-            })
-            .unwrap();
-        }
-
-        // Both transmissions produce a response back to the client.
-        for _ in 0..2 {
-            let frame = client_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-            let resp = wire_format::decode_message_exact(&frame.payload, &svc).unwrap();
-            assert_eq!(resp.call_id, 99);
-        }
-        let stats = processor.stats();
-        // ... but the chain ran for exactly one request + one response.
-        assert_eq!(stats.requests, 1);
-        assert!(stats.dedup_hits >= 1);
-        assert_eq!(
-            processor.export_state().unwrap()[0],
-            2u64.to_le_bytes().to_vec()
-        );
-    }
-
-    #[test]
-    fn stale_response_is_dropped_not_looped() {
-        let net = InProcNetwork::new();
-        let link: Arc<dyn Link> = Arc::new(net.clone());
-        let svc = service();
-        let processor = spawn_processor(
-            ProcessorConfig::new(
-                5,
-                svc.clone(),
-                EngineChain::new(),
-                NextHop::Fixed(2),
-                NextHop::Dst,
-            ),
-            link,
-            net.attach(5),
-        );
-
-        // A response for a call id with no flow entry and no cached reply:
-        // before dedup, the processor forwarded it unchanged — and since a
-        // NAT'd response's dst is the processor itself, a duplicated frame
-        // would self-loop. It must be counted stale and dropped.
-        let m = svc.method_by_id(1).unwrap();
-        let mut stale = RpcMessage::request(777, 1, m.response.clone())
-            .with("x", 0u64)
-            .with("who", "ghost");
-        stale.kind = MessageKind::Response;
-        stale.call_id = 777;
-        stale.src = 2;
-        stale.dst = 5;
-        let payload = wire_format::encode_message_to_vec(&stale).unwrap();
-        net.send(Frame {
-            src: 2,
-            dst: 5,
-            payload,
-        })
-        .unwrap();
-
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while processor.stats().stale_responses == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let stats = processor.stats();
-        assert_eq!(stats.stale_responses, 1);
-        assert_eq!(stats.forwarded, 0, "stale responses must not be forwarded");
-    }
-
-    #[test]
     fn set_request_next_reroutes_traffic() {
         let net = InProcNetwork::new();
         let link: Arc<dyn Link> = Arc::new(net.clone());
@@ -1908,11 +1939,6 @@ mod tests {
         assert!(successor_rx.try_recv().is_err());
     }
 
-    /// Regression for the queue-wait wall-clock leak: the serve loop used
-    /// `Instant::now()` for its batch timestamps, bypassing the `Clock`
-    /// trait, so spans recorded wall time even under a virtual clock. With
-    /// the fix, a virtual-clock jump while frames wait shows up in the
-    /// span's `queue_ns` exactly — deterministic, not approximate.
     /// Regression: the gauge used to go stale — it was only written when a
     /// frame was pulled, so an idle processor kept reporting its last
     /// pre-drain depth and a paused one never showed the backlog growing.
@@ -1974,100 +2000,11 @@ mod tests {
         assert_eq!(stats.queue_depth, 0, "idle gauge must read zero");
     }
 
-    /// Brownout refuses Sheddable-stamped requests with zero backlog and a
-    /// fast-fail Shed reply, admits unstamped (Normal) traffic untouched,
-    /// and is reversible via `set_overload`.
-    #[test]
-    fn brownout_sheds_sheddable_requests_and_is_reversible() {
-        use adn_wire::header::{OverloadContext, Priority};
-
-        let (client, processor, _server) = setup(EngineChain::new());
-        let sheddable = |client: &RpcClient, x: u64| {
-            let mut msg = req(client, x);
-            msg.deadline = Some(OverloadContext::root(
-                Duration::from_secs(5).as_nanos() as u64,
-                Priority::Sheddable,
-            ));
-            msg
-        };
-        // Permissive default: sheddable traffic flows.
-        assert!(client.call(sheddable(&client, 1), 5).is_ok());
-
-        processor.set_overload(OverloadPolicy {
-            brownout: true,
-            ..OverloadPolicy::default()
-        });
-        match client.call(sheddable(&client, 2), 5) {
-            Err(RpcError::Shed { .. }) => {}
-            other => panic!("expected fast-fail shed, got {other:?}"),
-        }
-        // Unstamped traffic rides as Normal: brownout does not touch it.
-        assert!(client.call(req(&client, 3), 5).is_ok());
-        assert_eq!(processor.stats().shed, 1);
-
-        processor.set_overload(OverloadPolicy::default());
-        assert!(
-            client.call(sheddable(&client, 4), 5).is_ok(),
-            "brownout must be reversible"
-        );
-    }
-
-    /// A request arriving with an exhausted in-band budget is dropped
-    /// before the chain — counted, never executed, never cached (a retry
-    /// re-stamps a live budget and is judged afresh).
-    #[test]
-    fn expired_requests_are_dropped_and_counted_not_cached() {
-        use adn_wire::header::{OverloadContext, Priority};
-
-        let net = InProcNetwork::new();
-        let link: Arc<dyn Link> = Arc::new(net.clone());
-        let svc = service();
-        let processor = spawn_processor(
-            ProcessorConfig::new(
-                5,
-                svc.clone(),
-                EngineChain::new(),
-                NextHop::Fixed(2),
-                NextHop::Dst,
-            ),
-            link,
-            net.attach(5),
-        );
-        let m = svc.method_by_id(1).unwrap();
-        let send = |budget_ns: u64| {
-            let mut msg = RpcMessage::request(9, 1, m.request.clone())
-                .with("x", 1u64)
-                .with("who", "c");
-            msg.src = 1;
-            msg.dst = 2;
-            msg.deadline = Some(OverloadContext::root(budget_ns, Priority::Normal));
-            let payload = wire_format::encode_message_to_vec(&msg).unwrap();
-            net.send(Frame {
-                src: 1,
-                dst: 5,
-                payload,
-            })
-            .unwrap();
-        };
-        send(0);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while processor.stats().expired_drops < 1 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let stats = processor.stats();
-        assert_eq!(stats.expired_drops, 1);
-        assert_eq!(stats.requests, 0, "an expired frame never runs the chain");
-        // The drop was not dedup-cached: the same call id with a live
-        // budget is admitted and forwarded.
-        send(Duration::from_secs(5).as_nanos() as u64);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while processor.stats().requests < 1 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(processor.stats().requests, 1, "retry is judged afresh");
-        assert_eq!(processor.stats().dedup_hits, 0);
-    }
-
+    /// Regression for the queue-wait wall-clock leak: the serve loop used
+    /// `Instant::now()` for its batch timestamps, bypassing the `Clock`
+    /// trait, so spans recorded wall time even under a virtual clock. With
+    /// the fix, a virtual-clock jump while frames wait shows up in the
+    /// span's `queue_ns` exactly — deterministic, not approximate.
     #[test]
     fn queue_wait_is_measured_on_the_processor_clock() {
         use adn_telemetry::{Registry, Sampler, SpanRing};
@@ -2132,5 +2069,392 @@ mod tests {
             Duration::from_secs(2).as_nanos() as u64,
             "queue wait must be the virtual-clock jump, exactly"
         );
+    }
+    // ---- ProcessorCore: admission, dedup, NAT and verdicts, no thread ----
+
+    /// A core at 5 that forwards requests to 2.
+    fn core(chain: EngineChain) -> ProcessorCore {
+        ProcessorCore::new(ProcessorConfig::new(
+            5,
+            service(),
+            chain,
+            NextHop::Fixed(2),
+            NextHop::Dst,
+        ))
+    }
+
+    /// A request from client 1 for server 2, or the server's response
+    /// addressed back to processor 5.
+    fn msg(kind: MessageKind, call_id: u64, x: u64) -> RpcMessage {
+        let svc = service();
+        let m = svc.method_by_id(1).unwrap();
+        let schema = match kind {
+            MessageKind::Request => m.request.clone(),
+            MessageKind::Response => m.response.clone(),
+        };
+        let mut msg = RpcMessage::request(call_id, 1, schema)
+            .with("x", x)
+            .with("who", "c");
+        msg.kind = kind;
+        (msg.src, msg.dst) = match kind {
+            MessageKind::Request => (1, 2),
+            MessageKind::Response => (2, 5),
+        };
+        msg
+    }
+
+    /// `msg` encoded as a frame arriving at processor 5.
+    fn frame(msg: &RpcMessage) -> Frame {
+        Frame {
+            src: msg.src,
+            dst: 5,
+            payload: wire_format::encode_message_to_vec(msg).unwrap(),
+        }
+    }
+
+    /// Runs one batch and returns what it produced.
+    fn step(
+        core: &mut ProcessorCore,
+        queue_ns: u64,
+        backlog: usize,
+        frames: Vec<Frame>,
+    ) -> Outputs {
+        let mut out = Outputs::default();
+        core.on_batch(queue_ns, backlog, frames, &mut out);
+        out
+    }
+
+    fn fates(out: &Outputs) -> Vec<Fate> {
+        out.outcomes.iter().map(|o| o.fate).collect()
+    }
+
+    fn decode(frame: &Frame) -> RpcMessage {
+        wire_format::decode_message_exact(&frame.payload, &service()).unwrap()
+    }
+
+    /// Chain-run count of a [`CountAndStamp`] core.
+    fn runs(core: &ProcessorCore) -> u64 {
+        u64::from_le_bytes(core.export_state()[0].clone().try_into().unwrap())
+    }
+
+    fn count_core() -> ProcessorCore {
+        core(EngineChain::from_engines(vec![Box::new(CountAndStamp {
+            count: 0,
+        })]))
+    }
+
+    fn stamped(kind: MessageKind, call_id: u64, budget: Duration, prio: Priority) -> RpcMessage {
+        let mut m = msg(kind, call_id, 0);
+        m.deadline = Some(OverloadContext::root(budget.as_nanos() as u64, prio));
+        m
+    }
+
+    /// A retransmitted request replays the recorded forward byte for byte
+    /// without re-running the chain; so does a retransmitted response once
+    /// its flow entry is consumed.
+    #[test]
+    fn duplicate_request_replays_cached_outcome() {
+        let mut core = count_core();
+        let req = frame(&msg(MessageKind::Request, 99, 4));
+        let first = step(&mut core, 0, 0, vec![req.clone()]);
+        assert_eq!(fates(&first), [Fate::Forward]);
+        assert_eq!(first.forwards[0].dst, 2);
+        let again = step(&mut core, 0, 0, vec![req]);
+        assert_eq!(fates(&again), [Fate::Replay { deferred: false }]);
+        assert!(again.forwards.is_empty());
+        assert_eq!(again.replays[0].payload, first.forwards[0].payload);
+
+        let resp = frame(&msg(MessageKind::Response, 99, 4));
+        let back = step(&mut core, 0, 0, vec![resp.clone()]);
+        assert_eq!(fates(&back), [Fate::Forward]);
+        assert_eq!(back.forwards[0].dst, 1, "NAT restores the requester");
+        let again = step(&mut core, 0, 0, vec![resp]);
+        assert_eq!(fates(&again), [Fate::Replay { deferred: false }]);
+        assert_eq!(again.replays[0].payload, back.forwards[0].payload);
+
+        let stats = core.stats();
+        assert_eq!(
+            (stats.requests, stats.responses, stats.dedup_hits),
+            (1, 1, 2)
+        );
+        assert_eq!(runs(&core), 2, "one request + one response execution");
+    }
+
+    /// A response with no flow entry and no cached reply is counted stale
+    /// and dropped: its NAT'd destination is this processor, so forwarding
+    /// it would self-loop.
+    #[test]
+    fn stale_response_is_dropped_not_looped() {
+        let mut core = core(EngineChain::new());
+        let out = step(
+            &mut core,
+            0,
+            0,
+            vec![frame(&msg(MessageKind::Response, 777, 0))],
+        );
+        assert_eq!(fates(&out), [Fate::Stale]);
+        assert!(out.forwards.is_empty() && out.replays.is_empty());
+        let stats = core.stats();
+        assert_eq!(stats.stale_responses, 1);
+        assert_eq!(stats.responses, 0);
+    }
+
+    /// Pins a behavior the simulator's old processor model got wrong (it
+    /// ran the chain on a stale response and cached a drop): a stale
+    /// response is refused before the chain, so it never executes, never
+    /// yields a verdict, and is counted only in `stale_responses`.
+    #[test]
+    fn stale_response_never_runs_the_chain() {
+        let mut core = count_core();
+        let out = step(
+            &mut core,
+            0,
+            0,
+            vec![frame(&msg(MessageKind::Response, 5, 0))],
+        );
+        assert_eq!(out.outcomes.len(), 1);
+        assert!(
+            !out.outcomes[0].fate.ran_chain(),
+            "no verdict for a stale response"
+        );
+        assert_eq!(runs(&core), 0);
+        let stats = core.stats();
+        assert_eq!(stats.stale_responses, 1);
+        assert_eq!(
+            (stats.responses, stats.dropped, stats.dedup_hits),
+            (0, 0, 0)
+        );
+        // Nothing was cached: the same response is stale again.
+        let out = step(
+            &mut core,
+            0,
+            0,
+            vec![frame(&msg(MessageKind::Response, 5, 0))],
+        );
+        assert_eq!(fates(&out), [Fate::Stale]);
+    }
+
+    /// Pins the trace contexts a hop emits, which the simulator's old model
+    /// got wrong (it re-parented before the chain): replies to the caller
+    /// (chain abort, chain shed, admission shed) carry the inbound context;
+    /// only forwards re-parent on this hop.
+    #[test]
+    fn abort_and_shed_replies_carry_the_inbound_trace() {
+        let inbound = TraceContext::root(7);
+        let traced = |call_id, x| {
+            let mut m = msg(MessageKind::Request, call_id, x);
+            m.trace = Some(inbound);
+            m
+        };
+        let mut core = core(EngineChain::from_engines(vec![Box::new(Refuse)]));
+        let mut sheddable = traced(4, 0);
+        sheddable.deadline = Some(OverloadContext::root(1_000_000_000, Priority::Sheddable));
+        core.set_overload(OverloadPolicy {
+            brownout: true,
+            ..OverloadPolicy::default()
+        });
+        let frames = vec![
+            frame(&traced(1, 0)),
+            frame(&traced(2, 1)),
+            frame(&traced(3, 2)),
+            frame(&sheddable),
+        ];
+        let out = step(&mut core, 0, 0, frames);
+        assert_eq!(
+            fates(&out),
+            [
+                Fate::Forward,
+                Fate::Abort(9),
+                Fate::ChainShed,
+                Fate::Shed(Priority::Sheddable)
+            ]
+        );
+        assert_eq!(decode(&out.forwards[0]).trace, Some(inbound.child_from(5)));
+        for reply in &out.forwards[1..] {
+            assert_eq!(decode(reply).trace, Some(inbound), "chain replies");
+        }
+        assert_eq!(
+            decode(&out.replays[0]).trace,
+            Some(inbound),
+            "admission shed"
+        );
+        // Outcomes report the inbound context of every chain run.
+        assert!(out.outcomes[..3].iter().all(|o| o.trace == Some(inbound)));
+    }
+
+    /// A duplicate landing in the same batch as a frame that runs the chain
+    /// waits for it and replays its recorded outcome (listed after the
+    /// batch); a duplicate of a frame that was itself a replay is just
+    /// another replay.
+    #[test]
+    fn in_batch_duplicates_defer_and_replay() {
+        let mut core = count_core();
+        let a = frame(&msg(MessageKind::Request, 10, 0));
+        let b = frame(&msg(MessageKind::Request, 11, 0));
+        let out = step(&mut core, 0, 0, vec![a.clone(), a.clone(), b]);
+        assert_eq!(
+            fates(&out),
+            [
+                Fate::Forward,
+                Fate::Forward,
+                Fate::Replay { deferred: true }
+            ]
+        );
+        assert_eq!(
+            out.outcomes.iter().map(|o| o.call_id).collect::<Vec<_>>(),
+            [10, 11, 10]
+        );
+        assert_eq!(out.forwards.len(), 2);
+        assert_eq!(out.replays[0].payload, out.forwards[0].payload);
+        assert_eq!(runs(&core), 2);
+
+        let out = step(&mut core, 0, 0, vec![a.clone(), a]);
+        assert_eq!(fates(&out), [Fate::Replay { deferred: false }; 2]);
+        assert_eq!(runs(&core), 2);
+        assert_eq!(core.stats().dedup_hits, 3);
+    }
+
+    /// A request arriving with an exhausted in-band budget is dropped
+    /// before the chain — counted, never executed, never cached (a retry
+    /// re-stamps a live budget and is judged afresh).
+    #[test]
+    fn expired_requests_are_dropped_and_counted_not_cached() {
+        let mut core = count_core();
+        let dead = stamped(MessageKind::Request, 9, Duration::ZERO, Priority::Normal);
+        let out = step(&mut core, 0, 0, vec![frame(&dead)]);
+        assert_eq!(fates(&out), [Fate::Expired]);
+        assert!(out.forwards.is_empty() && out.replays.is_empty());
+        assert_eq!(core.stats().expired_drops, 1);
+        assert_eq!(runs(&core), 0, "an expired frame never runs the chain");
+
+        let live = stamped(
+            MessageKind::Request,
+            9,
+            Duration::from_secs(5),
+            Priority::Normal,
+        );
+        let out = step(&mut core, 0, 0, vec![frame(&live)]);
+        assert_eq!(fates(&out), [Fate::Forward], "retry is judged afresh");
+        assert_eq!(core.stats().dedup_hits, 0);
+    }
+
+    /// Brownout refuses Sheddable-stamped requests with zero backlog and a
+    /// fast-fail Shed reply, admits unstamped (Normal) traffic untouched,
+    /// and is reversible.
+    #[test]
+    fn brownout_sheds_sheddable_requests_and_is_reversible() {
+        let mut core = count_core();
+        let sheddable = |call_id| {
+            stamped(
+                MessageKind::Request,
+                call_id,
+                Duration::from_secs(5),
+                Priority::Sheddable,
+            )
+        };
+        core.set_overload(OverloadPolicy {
+            brownout: true,
+            ..OverloadPolicy::default()
+        });
+        let out = step(
+            &mut core,
+            0,
+            0,
+            vec![
+                frame(&sheddable(1)),
+                frame(&msg(MessageKind::Request, 2, 0)),
+            ],
+        );
+        assert_eq!(
+            fates(&out),
+            [Fate::Shed(Priority::Sheddable), Fate::Forward]
+        );
+        let reply = decode(&out.replays[0]);
+        assert_eq!(reply.status, RpcStatus::Shed);
+        assert_eq!((out.replays[0].dst, reply.call_id), (1, 1));
+        assert_eq!(core.stats().shed, 1);
+
+        core.set_overload(OverloadPolicy::default());
+        let out = step(&mut core, 0, 0, vec![frame(&sheddable(3))]);
+        assert_eq!(fates(&out), [Fate::Forward], "brownout must be reversible");
+        assert_eq!(runs(&core), 2);
+    }
+
+    /// The shed ladder: above the high-water mark Sheddable goes, above 2×
+    /// Normal, above 4× everything below Critical; Critical is never
+    /// backlog-shed. Refusals are not cached.
+    #[test]
+    fn admission_ladder_sheds_by_priority() {
+        let mut core = count_core();
+        core.set_overload(OverloadPolicy {
+            shed_high_water: 4,
+            ..OverloadPolicy::default()
+        });
+        let prios = [
+            Priority::Sheddable,
+            Priority::Normal,
+            Priority::Important,
+            Priority::Critical,
+        ];
+        let mut call_id = 0;
+        for (backlog, admitted_from) in [(4, 0), (5, 1), (9, 2), (17, 3), (100_000, 3)] {
+            let frames = prios
+                .iter()
+                .map(|&p| {
+                    call_id += 1;
+                    frame(&stamped(
+                        MessageKind::Request,
+                        call_id,
+                        Duration::from_secs(5),
+                        p,
+                    ))
+                })
+                .collect();
+            let out = step(&mut core, 0, backlog, frames);
+            for (i, (&p, o)) in prios.iter().zip(&out.outcomes).enumerate() {
+                let want = if i >= admitted_from {
+                    Fate::Forward
+                } else {
+                    Fate::Shed(p)
+                };
+                assert_eq!(o.fate, want, "backlog {backlog}, {p:?}");
+            }
+        }
+        assert_eq!(core.stats().shed, 1 + 2 + 3 + 3);
+        assert_eq!(core.stats().dedup_hits, 0);
+    }
+
+    /// The batch's queue wait is charged against every deadline budget:
+    /// forwards (requests and responses) carry strictly less, and a wait
+    /// that exhausts the budget drops the request before the chain.
+    #[test]
+    fn queue_wait_is_charged_to_the_deadline() {
+        let mut core = count_core();
+        let ms = |n: u64| Duration::from_millis(n).as_nanos() as u64;
+        let req = stamped(
+            MessageKind::Request,
+            1,
+            Duration::from_millis(5),
+            Priority::Normal,
+        );
+        let out = step(&mut core, ms(2), 1, vec![frame(&req)]);
+        assert_eq!(fates(&out), [Fate::Forward]);
+        let fwd = decode(&out.forwards[0]).deadline.unwrap();
+        assert_eq!(fwd.budget_ns, ms(3));
+
+        let mut resp = msg(MessageKind::Response, 1, 0);
+        resp.deadline = Some(fwd);
+        let out = step(&mut core, ms(1), 1, vec![frame(&resp)]);
+        assert_eq!(decode(&out.forwards[0]).deadline.unwrap().budget_ns, ms(2));
+
+        let req = stamped(
+            MessageKind::Request,
+            2,
+            Duration::from_millis(5),
+            Priority::Normal,
+        );
+        let out = step(&mut core, ms(5), 1, vec![frame(&req)]);
+        assert_eq!(fates(&out), [Fate::Expired]);
+        assert_eq!(runs(&core), 2);
     }
 }

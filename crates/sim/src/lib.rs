@@ -8,18 +8,24 @@
 //! of `(scenario, seed)`: the same seed replays byte-identically, and a
 //! failing seed shrinks to the minimal event prefix that reproduces it.
 //!
-//! The node models are thin event-driven shells around the *real*
-//! runtime components — compiled element chains ([`adn_elements`] →
-//! [`adn_backend`]), dedup windows, NAT flow tables, circuit breakers,
-//! and retry backoff from [`adn_rpc`], trace contexts from
-//! [`adn_wire`] — so invariants are checked against production logic.
+//! Every processor in the simulated cluster is the shipped
+//! [`adn_dataplane::ProcessorCore`] — the same classify → admission →
+//! chain → verdict → deferred-replay step the threaded serve loop pumps —
+//! running compiled element chains ([`adn_elements`] → [`adn_backend`]).
+//! The sim adds only what a thread would: when frames arrive (inbox,
+//! batch window, an overload service-time model) and whether the
+//! processor is alive. The client, server and controller are thin
+//! event-driven models around real components (dedup windows, circuit
+//! breakers and retry backoff from [`adn_rpc`], trace contexts from
+//! [`adn_wire`]).
 //!
 //! ## Layout
 //!
 //! - [`executor`]: virtual clock + seeded RNG + the timed event queue,
 //!   and the event-log fingerprint.
-//! - [`nodes`]: message-level models of client, processor, server, and
-//!   controller, plus the [`nodes::Facts`] record checkers observe.
+//! - [`nodes`]: the processor wrapper around the shipped core, message-
+//!   level models of client, server and controller, and the
+//!   [`nodes::Facts`] record checkers observe.
 //! - [`scenario`]: the [`Scenario`] builder and the simulation itself.
 //! - [`invariant`]: the five checkers (at-most-once, zero-loss, trace
 //!   well-formedness, autoscale cooldown, failover liveness) evaluated

@@ -1,25 +1,25 @@
-//! Message-level models of the cluster's node types. Each model is plain
-//! data driven by the scenario's event handlers; none owns a thread, a
-//! lock, or a clock. Where the real runtime has a mechanism that matters
-//! for correctness — dedup windows, NAT flow tables, circuit breakers,
-//! retry budgets, engine chains — the model reuses the *real* component
-//! rather than a simplified copy, so the simulator exercises the same
-//! code the production path runs.
+//! The cluster's node types, driven by the scenario's event handlers;
+//! none owns a thread, a lock, or a clock. A processor *is* the shipped
+//! [`ProcessorCore`] (classification, admission, dedup, NAT, chain and
+//! verdict handling) wrapped in the sim's timing and failure state. The
+//! client, server and controller are message-level models that reuse the
+//! real components where they matter for correctness (dedup windows,
+//! circuit breakers, retry budgets, engine chains).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use adn_rpc::engine::EngineChain;
+use adn_dataplane::processor::ProcessorCore;
 use adn_rpc::retry::{CircuitBreaker, DedupWindow, DegradedMode, RetryPolicy};
 use adn_rpc::schema::RpcSchema;
 use adn_rpc::transport::Frame;
 use adn_rpc::value::Value;
 use adn_wire::header::Priority;
 
-/// Dedup window capacity used by simulated processors and the server.
-/// Larger than any scenario's in-flight set, so eviction never weakens
-/// the at-most-once invariant inside a run.
+/// Dedup window capacity of the simulated server. Larger than any
+/// scenario's in-flight set, so eviction never weakens the at-most-once
+/// invariant inside a run. (Processors use the dataplane's own window.)
 pub const DEDUP_CAP: usize = 4096;
 
 /// One element of a processor's chain, kept in buildable form so
@@ -56,25 +56,6 @@ impl ElementSpec {
             source: Some(source.to_string()),
         }
     }
-}
-
-/// Where a processor sends accepted requests.
-#[derive(Debug, Clone)]
-pub enum NextHop {
-    /// Single downstream endpoint.
-    Fixed(u64),
-    /// Key-hash over shard replicas (post-scale-out router mode).
-    Sharded(Vec<u64>),
-}
-
-/// What a processor did with a (deduplicated) message — replayed verbatim
-/// on retransmission.
-#[derive(Debug, Clone)]
-pub enum CachedAction {
-    /// A frame was emitted; retransmits resend the identical frame.
-    Sent(Frame),
-    /// The chain dropped the message; retransmits drop too.
-    Dropped,
 }
 
 /// The state of one in-flight or finished client call.
@@ -147,24 +128,18 @@ impl SimClient {
     }
 }
 
-/// A simulated chain processor: the real engine chain plus the real
-/// dedup/NAT bookkeeping from the serve loop, minus the thread.
-#[derive(Debug)]
+/// A simulated chain processor: the shipped [`ProcessorCore`] plus the
+/// sim's own timing and failure state. The core owns the chain, the NAT
+/// table, both dedup windows and the admission policy; the sim owns when
+/// frames reach it and whether it is alive.
 pub struct SimProcessor {
     /// Flat endpoint address (stable across failover and migration).
     pub addr: u64,
-    /// The real compiled element chain.
-    pub chain: EngineChain,
-    /// Buildable description of `chain` for failover/migration rebuilds.
+    /// The processor itself, exactly as the threaded serve loop runs it.
+    pub core: ProcessorCore,
+    /// Buildable description of the core's chain for failover/migration
+    /// rebuilds.
     pub elements: Vec<ElementSpec>,
-    /// Downstream routing for accepted requests.
-    pub next_req: NextHop,
-    /// NAT flow table: call id → original requester address.
-    pub flows: HashMap<u64, u64>,
-    /// Request dedup window, keyed by (upstream address, call id).
-    pub req_cache: DedupWindow<(u64, u64), CachedAction>,
-    /// Response dedup window, keyed by call id.
-    pub resp_cache: DedupWindow<u64, CachedAction>,
     /// False after a `Kill`: stops heartbeating, blackholes frames.
     pub alive: bool,
     /// Virtual time of the last heartbeat the controller saw.
@@ -176,25 +151,17 @@ pub struct SimProcessor {
     pub flush_pending: bool,
     /// Virtual time until which this processor's single worker is busy
     /// (overload scenarios only; zero service time leaves it at ZERO).
+    /// The queue wait and backlog the core sees derive from it.
     pub busy_until: Duration,
 }
 
 impl SimProcessor {
-    /// A fresh processor with the given chain.
-    pub fn new(
-        addr: u64,
-        chain: EngineChain,
-        elements: Vec<ElementSpec>,
-        next_req: NextHop,
-    ) -> Self {
+    /// A live processor around `core`.
+    pub fn new(addr: u64, core: ProcessorCore, elements: Vec<ElementSpec>) -> Self {
         Self {
             addr,
-            chain,
+            core,
             elements,
-            next_req,
-            flows: HashMap::new(),
-            req_cache: DedupWindow::new(DEDUP_CAP),
-            resp_cache: DedupWindow::new(DEDUP_CAP),
             alive: true,
             last_beat: Duration::ZERO,
             inbox: Vec::new(),
@@ -277,12 +244,6 @@ pub struct Facts {
     pub calls_timed_out: u64,
     /// Calls fast-failed with a `Shed` verdict.
     pub calls_shed: u64,
-    /// Shed verdicts issued by processor admission control (may exceed
-    /// `calls_shed`: retransmits of an unresolved call can shed again).
-    pub sheds: u64,
-    /// Frames dropped at admission because their deadline budget was
-    /// already exhausted — counted, never silent.
-    pub expired_drops: u64,
     /// Server executions of a call whose budget was exhausted on
     /// arrival. The no-expired-execution invariant demands zero.
     pub expired_executions: u64,
@@ -298,8 +259,9 @@ pub struct Facts {
     pub frames_dropped: u64,
     /// Frames absorbed by dead processors.
     pub frames_blackholed: u64,
-    /// Retransmits recognized by a dedup window (processor or server).
-    pub dedup_hits: u64,
+    /// Retransmits recognized by the server's dedup window (processor
+    /// hits are in the cores' own counters).
+    pub server_dedup_hits: u64,
     /// Server executions per call id — the at-most-once ledger.
     pub executions: BTreeMap<u64, u32>,
     /// The most recent execution `(call_id, count_after)`, for O(1)

@@ -3,11 +3,14 @@
 //! A [`Scenario`] describes a whole cluster — chain topology, workload,
 //! chaos policy, failure schedule, controller knobs — and `run(seed)`
 //! executes it deterministically inside a [`SimExecutor`]: one thread,
-//! one RNG, virtual time only. The node models reuse the real runtime's
-//! pure components (compiled element chains, dedup windows, NAT flow
-//! tables, circuit breakers, retry backoff, trace contexts), so the
-//! invariants checked here are checked against production logic, not a
-//! simplified re-implementation.
+//! one RNG, virtual time only. Every processor is the shipped
+//! [`ProcessorCore`], the same value the threaded serve loop pumps: the
+//! sim only decides when frames reach it (inbox, batch window, the
+//! overload model's service time) and whether it is alive, then writes
+//! log lines, spans and verdict-stream entries from the core's typed
+//! outcomes. The client, server and controller reuse the real runtime's
+//! pure components (circuit breakers, retry backoff, dedup windows, trace
+//! contexts).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -16,9 +19,11 @@ use std::time::Duration;
 use adn::harness::{object_store_schemas, object_store_service};
 use adn_backend::jit::{compile_engine, JitTier};
 use adn_backend::native::CompileOpts;
-use adn_dataplane::processor::OverloadPolicy;
+use adn_dataplane::processor::{
+    Fate, NextHop, Outcome, Outputs, OverloadPolicy, ProcessorConfig, ProcessorCore, StatsSnapshot,
+};
 use adn_rpc::chaos::ChaosPolicy;
-use adn_rpc::engine::{EngineChain, Verdict};
+use adn_rpc::engine::EngineChain;
 use adn_rpc::message::{MessageKind, RpcMessage, RpcStatus};
 use adn_rpc::retry::{BreakerPolicy, CircuitBreaker, DedupWindow, DegradedMode, RetryPolicy};
 use adn_rpc::schema::{RpcSchema, ServiceSchema};
@@ -32,8 +37,8 @@ use rand::Rng;
 use crate::executor::{Event, SimExecutor};
 use crate::invariant::{invariants_for, Violation};
 use crate::nodes::{
-    AutoscaleModel, CachedAction, CallOutcome, CallState, ElementSpec, Facts, NextHop, SimClient,
-    SimController, SimProcessor, SimServer, SpanFact, DEDUP_CAP,
+    AutoscaleModel, CallOutcome, CallState, ElementSpec, Facts, SimClient, SimController,
+    SimProcessor, SimServer, SpanFact, DEDUP_CAP,
 };
 
 /// The client's flat endpoint address.
@@ -141,8 +146,7 @@ pub struct Scenario {
     /// legacy per-frame delivery path — byte-identical to the golden log.
     /// Larger values route deliveries through a per-processor inbox that
     /// drains up to `batch` frames one batch window after the first one
-    /// lands, with batch-local duplicate deferral mirroring the real
-    /// serve loop.
+    /// lands, handing them to the processor core as one batch.
     pub batch: usize,
     /// Element chain to distribute over the processors. `None` (the
     /// default) runs the paper-eval chain (Logging → ACL → Fault with
@@ -406,7 +410,7 @@ impl Scenario {
             events,
             truncated,
             end_ns: end.as_nanos() as u64,
-            stats: SimStats::from_facts(&sim.facts),
+            stats: SimStats::from_facts(&sim.facts, &sim.proc_stats()),
             violation,
             log: sim.exec.into_log(),
         }
@@ -426,9 +430,12 @@ pub struct SimStats {
     pub calls_timed_out: u64,
     /// Calls fast-failed with a `Shed` verdict.
     pub calls_shed: u64,
-    /// Shed verdicts issued by processors (admission + chain).
+    /// Shed verdicts issued by processors, admission and chain (may
+    /// exceed `calls_shed`: retransmits of an unresolved call can shed
+    /// again). Read from the cores' counters.
     pub sheds: u64,
-    /// Frames dropped at admission with an exhausted budget.
+    /// Frames dropped at admission with an exhausted budget, from the
+    /// cores' counters.
     pub expired_drops: u64,
     /// Server executions of already-expired calls (should be zero when
     /// expired-drop is armed).
@@ -445,7 +452,8 @@ pub struct SimStats {
     pub frames_dropped: u64,
     /// Frames absorbed by dead processors.
     pub frames_blackholed: u64,
-    /// Dedup-window hits across processors and the server.
+    /// Dedup-window hits across processors (their cores' counters) and
+    /// the server.
     pub dedup_hits: u64,
     /// Distinct calls executed at the server.
     pub server_executions: u64,
@@ -464,15 +472,15 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    fn from_facts(f: &Facts) -> Self {
+    fn from_facts(f: &Facts, procs: &StatsSnapshot) -> Self {
         Self {
             calls_issued: f.calls_issued,
             calls_ok: f.calls_ok,
             calls_aborted: f.calls_aborted,
             calls_timed_out: f.calls_timed_out,
             calls_shed: f.calls_shed,
-            sheds: f.sheds,
-            expired_drops: f.expired_drops,
+            sheds: procs.shed,
+            expired_drops: procs.expired_drops,
             expired_executions: f.expired_executions,
             queue_peak: f.queue_peak,
             retries: f.retries,
@@ -480,7 +488,7 @@ impl SimStats {
             frames_delivered: f.frames_delivered,
             frames_dropped: f.frames_dropped,
             frames_blackholed: f.frames_blackholed,
-            dedup_hits: f.dedup_hits,
+            dedup_hits: f.server_dedup_hits + procs.dedup_hits,
             server_executions: f.executions.len() as u64,
             spans: f.spans.len() as u64,
             failovers: f.failovers.len() as u64,
@@ -556,22 +564,32 @@ fn paper_elements(fault_prob: f64) -> Vec<ElementSpec> {
     ]
 }
 
-/// Stable discriminant for the verdict-stream fingerprint.
-fn verdict_tag(v: &Verdict) -> u8 {
-    match v {
-        Verdict::Forward => 0,
-        Verdict::Drop => 1,
-        Verdict::Abort { .. } => 2,
-        Verdict::Shed => 3,
+/// The verdict-stream entry of a chain run: a stable verdict
+/// discriminant and the abort code (0 otherwise).
+fn verdict_word(fate: Fate) -> (u8, u64) {
+    match fate {
+        Fate::Drop => (1, 0),
+        Fate::Abort(code) => (2, code as u64),
+        Fate::ChainShed => (3, 0),
+        _ => (0, 0),
     }
 }
 
-/// Abort code folded into the verdict-stream fingerprint (0 otherwise).
-fn verdict_code(v: &Verdict) -> u64 {
-    match v {
-        Verdict::Abort { code, .. } => *code as u64,
-        _ => 0,
+/// A processor core for `addr`. The chain entry runs the scenario's
+/// overload policy; every other hop keeps the dataplane default.
+fn new_core(
+    cfg: &Scenario,
+    service: &Arc<ServiceSchema>,
+    addr: u64,
+    chain: EngineChain,
+    next: NextHop,
+) -> ProcessorCore {
+    let mut config = ProcessorConfig::new(addr, service.clone(), chain, next, NextHop::Dst)
+        .with_batch(cfg.batch);
+    if let (Some(model), PROC_BASE) = (&cfg.overload, addr) {
+        config = config.with_overload(model.policy);
     }
+    ProcessorCore::new(config)
 }
 
 /// Compiles a chain from element specs with a fixed per-run compile seed
@@ -628,6 +646,13 @@ pub(crate) struct Sim<'a> {
     shard_elements: Vec<ElementSpec>,
     /// Downstream hop shards forward to (set at first scale-out).
     shard_downstream: u64,
+    /// Shard each call was routed to by the post-scale-out entry, so a
+    /// dedup replay of the routed forward reaches the same shard.
+    routes: BTreeMap<u64, u64>,
+    /// Counters of cores replaced by failover.
+    retired: StatsSnapshot,
+    /// Reused output buffers of the processor cores.
+    outputs: Outputs,
     partitioned: bool,
     compile_seed: u64,
     service: Arc<ServiceSchema>,
@@ -659,12 +684,13 @@ impl<'a> Sim<'a> {
         for (i, group) in groups.into_iter().enumerate() {
             let addr = PROC_BASE + i as u64;
             let next = if i + 1 < n {
-                NextHop::Fixed(PROC_BASE + i as u64 + 1)
+                PROC_BASE + i as u64 + 1
             } else {
-                NextHop::Fixed(SERVER_ADDR)
+                SERVER_ADDR
             };
             let chain = build_chain(&group, &req_schema, &resp_schema, compile_seed, cfg.jit);
-            procs.insert(addr, SimProcessor::new(addr, chain, group, next));
+            let core = new_core(cfg, &service, addr, chain, NextHop::Fixed(next));
+            procs.insert(addr, SimProcessor::new(addr, core, group));
         }
 
         let client = SimClient {
@@ -756,6 +782,9 @@ impl<'a> Sim<'a> {
             shards: Vec::new(),
             shard_elements: Vec::new(),
             shard_downstream: SERVER_ADDR,
+            routes: BTreeMap::new(),
+            retired: StatsSnapshot::default(),
+            outputs: Outputs::default(),
             partitioned: false,
             compile_seed,
             service,
@@ -766,6 +795,13 @@ impl<'a> Sim<'a> {
 
     fn client_done(&self) -> bool {
         self.facts.calls_resolved() >= self.client.total
+    }
+
+    /// Processor counters summed over every core, live or replaced.
+    fn proc_stats(&self) -> StatsSnapshot {
+        self.procs
+            .values()
+            .fold(self.retired, |acc, p| acc.merge(&p.core.stats()))
     }
 
     pub fn handle(&mut self, now: Duration, ev: Event) {
@@ -1075,50 +1111,29 @@ impl<'a> Sim<'a> {
 
     fn proc_recv(&mut self, now: Duration, frame: Frame) {
         let addr = frame.dst;
-        {
-            let p = self.procs.get_mut(&addr).expect("routed to a processor");
-            if !p.alive {
-                self.facts.frames_blackholed += 1;
-                self.exec.log(format!("blackhole addr={addr}"));
-                return;
-            }
-            p.last_beat = now;
-            if self.cfg.batch > 1 {
-                p.inbox.push(frame);
-                if !p.flush_pending {
-                    p.flush_pending = true;
-                    self.exec
-                        .schedule_after(BATCH_WINDOW, Event::FlushBatch { addr });
-                }
-                return;
-            }
-        }
-        self.proc_one(now, frame);
-    }
-
-    /// Decodes one frame and runs it through the per-message processor
-    /// path (the `batch == 1` hot path, and phase 4 of a batch drain).
-    fn proc_one(&mut self, now: Duration, frame: Frame) {
-        let msg = match decode_message_exact(&frame.payload, &self.service) {
-            Ok(m) => m,
-            Err(e) => {
-                self.exec
-                    .log(format!("proc_decode_error addr={} {e:?}", frame.dst));
-                return;
-            }
+        let Some(p) = self.procs.get_mut(&addr) else {
+            return;
         };
-        match msg.kind {
-            MessageKind::Request => self.proc_request(now, frame, msg),
-            MessageKind::Response => self.proc_response(frame, msg),
+        if !p.alive {
+            self.facts.frames_blackholed += 1;
+            self.exec.log(format!("blackhole addr={addr}"));
+            return;
         }
+        p.last_beat = now;
+        if self.cfg.batch > 1 {
+            p.inbox.push(frame);
+            if !p.flush_pending {
+                p.flush_pending = true;
+                self.exec
+                    .schedule_after(BATCH_WINDOW, Event::FlushBatch { addr });
+            }
+            return;
+        }
+        self.run_core(now, addr, vec![frame]);
     }
 
     /// Drains up to `batch` frames from a processor's inbox in arrival
-    /// order, mirroring the real serve loop's batch pipeline: duplicates
-    /// of a message already in the batch are deferred until the
-    /// original's verdict is cached, then replayed from the dedup window
-    /// — so a retransmit landing in the same batch as its original can
-    /// never execute twice.
+    /// order and hands them to its core as one batch.
     fn flush_batch(&mut self, now: Duration, addr: u64) {
         let Some(p) = self.procs.get_mut(&addr) else {
             return;
@@ -1145,309 +1160,126 @@ impl<'a> Sim<'a> {
         }
         self.exec
             .log(format!("batch addr={addr} n={}", frames.len()));
-        let mut deferred: Vec<Frame> = Vec::new();
-        let mut seen_req: Vec<(u64, u64)> = Vec::new();
-        let mut seen_resp: Vec<u64> = Vec::new();
-        for frame in frames {
-            let msg = match decode_message_exact(&frame.payload, &self.service) {
-                Ok(m) => m,
-                Err(e) => {
-                    self.exec
-                        .log(format!("proc_decode_error addr={addr} {e:?}"));
-                    continue;
-                }
-            };
-            match msg.kind {
-                MessageKind::Request => {
-                    let key = (frame.src, msg.call_id);
-                    if seen_req.contains(&key) {
-                        self.exec
-                            .log(format!("batch_defer addr={addr} call={}", msg.call_id));
-                        deferred.push(frame);
-                    } else {
-                        seen_req.push(key);
-                        self.proc_request(now, frame, msg);
-                    }
-                }
-                MessageKind::Response => {
-                    if seen_resp.contains(&msg.call_id) {
-                        self.exec
-                            .log(format!("batch_defer addr={addr} call={}", msg.call_id));
-                        deferred.push(frame);
-                    } else {
-                        seen_resp.push(msg.call_id);
-                        self.proc_response(frame, msg);
-                    }
-                }
-            }
-        }
-        // Phase 4: deferred duplicates replay from the now-populated
-        // caches (each one lands a dedup hit, never a second execution).
-        for frame in deferred {
-            self.proc_one(now, frame);
-        }
+        self.run_core(now, addr, frames);
     }
 
-    fn proc_request(&mut self, now: Duration, frame: Frame, mut msg: RpcMessage) {
-        let addr = frame.dst;
-        let key = (frame.src, msg.call_id);
-        let (cached, backlog_wait) = {
-            let p = self.procs.get_mut(&addr).expect("alive processor");
-            (
-                p.req_cache.get(&key).cloned(),
-                p.busy_until.saturating_sub(now),
-            )
-        };
-        if let Some(cached) = cached {
-            self.facts.dedup_hits += 1;
-            match cached {
-                CachedAction::Sent(f) => {
-                    self.exec
-                        .log(format!("dedup_replay addr={addr} call={}", msg.call_id));
-                    // Under the overload model the cached verdict exists
-                    // the moment the original was *admitted*, but its
-                    // output cannot leave before the worker reaches it —
-                    // replays are charged the current backlog so a
-                    // retransmit never leapfrogs the queue it is in.
-                    let extra = if self.cfg.overload.is_some() && addr == self.entry {
-                        backlog_wait
-                    } else {
-                        Duration::ZERO
-                    };
-                    self.send_frame_extra(f, extra);
-                }
-                CachedAction::Dropped => {
-                    self.exec
-                        .log(format!("dedup_drop addr={addr} call={}", msg.call_id));
-                }
-            }
+    /// Runs one batch through a processor's core. Under the overload model
+    /// the chain entry is a single worker: the core sees the queue wait and
+    /// backlog its `busy_until` implies, and every request it admits keeps
+    /// the worker busy one more service time.
+    fn run_core(&mut self, now: Duration, addr: u64, frames: Vec<Frame>) {
+        let cfg = self.cfg;
+        let model = cfg.overload.as_ref().filter(|_| addr == self.entry);
+        let Some(p) = self.procs.get_mut(&addr) else {
             return;
-        }
-        // Overload admission at the bottleneck hop, mirroring the real
-        // serve loop's classify phase: charge the queueing delay against
-        // the in-band budget, drop expired work, shed below the ladder
-        // floor — all before the chain runs. Dedup replays above bypass
-        // admission: their verdict was already paid for.
-        let mut queue_extra = Duration::ZERO;
-        if self.cfg.overload.is_some() && addr == self.entry {
-            let model = self.cfg.overload.as_ref().expect("checked");
-            let (wait, backlog) = {
-                let p = self.procs.get_mut(&addr).expect("alive processor");
-                let wait = p.busy_until.saturating_sub(now);
-                let backlog = (wait.as_nanos() / model.service_time.as_nanos().max(1)) as usize;
-                (wait, backlog)
+        };
+        let wait = p.busy_until.saturating_sub(now);
+        let backlog = model.map_or(0, |m| {
+            (wait.as_nanos() / m.service_time.as_nanos().max(1)) as usize
+        });
+        let mut out = std::mem::take(&mut self.outputs);
+        p.core
+            .on_batch(wait.as_nanos() as u64, backlog, frames, &mut out);
+        let mut forwards = out.forwards.drain(..);
+        let mut replays = out.replays.drain(..);
+        for o in &out.outcomes {
+            let frame = match (o.sent, o.fate.ran_chain()) {
+                (false, _) => None,
+                (true, true) => forwards.next(),
+                (true, false) => replays.next(),
             };
-            self.facts.queue_peak = self.facts.queue_peak.max(backlog as u64);
-            let remaining = msg.deadline.map(|d| d.consume(wait.as_nanos() as u64));
-            if model.policy.drop_expired && remaining.as_ref().is_some_and(|d| d.expired()) {
-                // Counted, never cached: a retransmit gets a fresh
-                // admission decision instead of a replayed corpse.
-                self.facts.expired_drops += 1;
-                self.exec
-                    .log(format!("expired_drop addr={addr} call={}", msg.call_id));
-                return;
-            }
-            let priority = remaining.as_ref().map_or(Priority::Normal, |d| d.priority);
-            if priority < model.policy.admission_floor(backlog) {
-                // Fast-fail before any work: tell the client to back
-                // off. Not cached either — admission is pre-execution.
-                self.facts.sheds += 1;
-                self.exec.log(format!(
-                    "shed addr={addr} call={} prio={}",
-                    msg.call_id, priority as u8
-                ));
-                let mut resp = RpcMessage::response_to(&msg, self.resp_schema.clone());
-                resp.status = RpcStatus::Shed;
-                resp.src = addr;
-                resp.dst = frame.src;
-                resp.deadline = remaining;
-                let payload = encode_message_to_vec(&resp).expect("shed encodes");
-                self.send_frame(Frame {
-                    src: addr,
-                    dst: frame.src,
-                    payload,
-                });
-                return;
-            }
-            // Admitted: the forwarded hop carries the decremented budget,
-            // and the single worker is busy for one more service time.
-            msg.deadline = remaining;
-            let p = self.procs.get_mut(&addr).expect("alive processor");
-            p.busy_until = now.max(p.busy_until) + model.service_time;
-            queue_extra = wait + model.service_time;
-        }
-        let mut out: Option<Frame> = None;
-        {
-            let p = self.procs.get_mut(&addr).expect("alive processor");
-            {
-                if let Some(ctx) = msg.trace {
-                    if ctx.budget {
-                        self.facts.spans.push(SpanFact {
-                            trace_id: ctx.trace_id,
-                            span_id: ctx.span_at(addr),
-                            parent_span: ctx.parent_span,
-                            processor: addr,
-                        });
-                    }
-                    msg.trace = Some(ctx.child_from(addr));
+            let mut extra = Duration::ZERO;
+            let request = o.kind == Some(MessageKind::Request);
+            if let (Some(m), true, Some(p)) = (model, request, self.procs.get_mut(&addr)) {
+                if o.fate.ran_chain() || matches!(o.fate, Fate::Expired | Fate::Shed(_)) {
+                    self.facts.queue_peak = self.facts.queue_peak.max(backlog as u64);
                 }
-                let verdict = p.chain.process(&mut msg);
-                self.facts.note_verdict(
-                    0,
-                    addr,
-                    msg.call_id,
-                    verdict_tag(&verdict),
-                    verdict_code(&verdict),
-                );
-                match verdict {
-                    Verdict::Forward => {
-                        p.flows.insert(msg.call_id, frame.src);
-                        let oid = match msg.get("object_id") {
-                            Some(Value::U64(v)) => *v,
-                            _ => msg.call_id,
-                        };
-                        let next = match &p.next_req {
-                            NextHop::Fixed(a) => *a,
-                            NextHop::Sharded(v) => v[(mix64(oid) % v.len() as u64) as usize],
-                        };
-                        msg.src = addr;
-                        msg.dst = next;
-                        let payload = encode_message_to_vec(&msg).expect("forward encodes");
-                        let f = Frame {
-                            src: addr,
-                            dst: next,
-                            payload,
-                        };
-                        p.req_cache.insert(key, CachedAction::Sent(f.clone()));
-                        if addr == self.entry {
-                            self.entry_load += 1;
-                        }
-                        self.exec
-                            .log(format!("fwd addr={addr} call={} dst={next}", msg.call_id));
-                        out = Some(f);
-                    }
-                    Verdict::Drop => {
-                        p.req_cache.insert(key, CachedAction::Dropped);
-                        self.exec
-                            .log(format!("chain_drop addr={addr} call={}", msg.call_id));
-                    }
-                    Verdict::Abort { code, message } => {
-                        let mut resp = RpcMessage::response_to(&msg, self.resp_schema.clone());
-                        resp.status = RpcStatus::Aborted { code, message };
-                        resp.src = addr;
-                        resp.dst = frame.src;
-                        let payload = encode_message_to_vec(&resp).expect("abort encodes");
-                        let f = Frame {
-                            src: addr,
-                            dst: frame.src,
-                            payload,
-                        };
-                        p.req_cache.insert(key, CachedAction::Sent(f.clone()));
-                        self.exec.log(format!(
-                            "abort addr={addr} call={} code={code}",
-                            msg.call_id
-                        ));
-                        out = Some(f);
-                    }
-                    Verdict::Shed => {
-                        // A chain element shed this request. Unlike an
-                        // admission shed the chain partially ran, so the
-                        // verdict is cached and replayed on retransmit.
-                        let mut resp = RpcMessage::response_to(&msg, self.resp_schema.clone());
-                        resp.status = RpcStatus::Shed;
-                        resp.src = addr;
-                        resp.dst = frame.src;
-                        let payload = encode_message_to_vec(&resp).expect("shed encodes");
-                        let f = Frame {
-                            src: addr,
-                            dst: frame.src,
-                            payload,
-                        };
-                        p.req_cache.insert(key, CachedAction::Sent(f.clone()));
-                        self.facts.sheds += 1;
-                        self.exec
-                            .log(format!("chain_shed addr={addr} call={}", msg.call_id));
-                        out = Some(f);
-                    }
+                if o.fate.ran_chain() {
+                    p.busy_until = now.max(p.busy_until) + m.service_time;
+                    extra = p.busy_until - now;
+                } else if matches!(o.fate, Fate::Replay { .. }) {
+                    // The cached verdict exists the moment the original
+                    // was admitted, but its output cannot leave before the
+                    // worker reaches it: a retransmit never leapfrogs the
+                    // queue it is in.
+                    extra = p.busy_until.saturating_sub(now);
                 }
             }
+            self.proc_outcome(addr, o, frame, extra);
         }
-        if let Some(f) = out {
-            self.send_frame_extra(f, queue_extra);
-        }
+        drop((forwards, replays));
+        self.outputs = out;
     }
 
-    fn proc_response(&mut self, frame: Frame, mut msg: RpcMessage) {
-        let addr = frame.dst;
-        let mut out: Option<Frame> = None;
-        {
-            let p = self.procs.get_mut(&addr).expect("alive processor");
-            let call_id = msg.call_id;
-            if let Some(cached) = p.resp_cache.get(&call_id) {
-                self.facts.dedup_hits += 1;
-                match cached {
-                    CachedAction::Sent(f) => {
-                        out = Some(f.clone());
-                        self.exec
-                            .log(format!("resp_dedup addr={addr} call={call_id}"));
-                    }
-                    CachedAction::Dropped => {
-                        self.exec
-                            .log(format!("resp_dedup_drop addr={addr} call={call_id}"));
-                    }
+    /// Records one core outcome: span, verdict-stream entry, log line, and
+    /// the send of its frame (`extra` latency prepended).
+    fn proc_outcome(&mut self, addr: u64, o: &Outcome, mut frame: Option<Frame>, extra: Duration) {
+        let call = o.call_id;
+        let request = o.kind == Some(MessageKind::Request);
+        if o.fate.ran_chain() {
+            if let (true, Some(ctx)) = (request, o.trace) {
+                if ctx.budget {
+                    self.facts.spans.push(SpanFact {
+                        trace_id: ctx.trace_id,
+                        span_id: ctx.span_at(addr),
+                        parent_span: ctx.parent_span,
+                        processor: addr,
+                    });
                 }
-            } else {
-                // The chain sees responses too (paper-eval elements only
-                // match `on request`, so this is Forward for them — but
-                // response-matching elements keep their real semantics).
-                let verdict = p.chain.process(&mut msg);
-                self.facts.note_verdict(
-                    1,
-                    addr,
-                    call_id,
-                    verdict_tag(&verdict),
-                    verdict_code(&verdict),
-                );
-                if let Verdict::Drop = verdict {
-                    p.resp_cache.insert(call_id, CachedAction::Dropped);
-                    self.exec
-                        .log(format!("resp_drop addr={addr} call={call_id}"));
-                } else {
-                    match verdict {
-                        Verdict::Abort { code, message } => {
-                            msg.status = RpcStatus::Aborted { code, message };
-                        }
-                        // A response-path shed rewrites status in place,
-                        // exactly like the real serve loop.
-                        Verdict::Shed => msg.status = RpcStatus::Shed,
-                        _ => {}
-                    }
-                    match p.flows.remove(&call_id) {
-                        Some(orig) => {
-                            msg.src = addr;
-                            msg.dst = orig;
-                            let payload = encode_message_to_vec(&msg).expect("response encodes");
-                            let f = Frame {
-                                src: addr,
-                                dst: orig,
-                                payload,
-                            };
-                            p.resp_cache.insert(call_id, CachedAction::Sent(f.clone()));
-                            self.exec
-                                .log(format!("resp_fwd addr={addr} call={call_id} dst={orig}"));
-                            out = Some(f);
-                        }
-                        None => {
-                            p.resp_cache.insert(call_id, CachedAction::Dropped);
-                            self.exec
-                                .log(format!("stale_resp addr={addr} call={call_id}"));
-                        }
-                    }
+            }
+            let (tag, code) = verdict_word(o.fate);
+            self.facts
+                .note_verdict(u8::from(!request), addr, call, tag, code);
+        }
+        if request && addr == self.entry {
+            if o.fate == Fate::Forward {
+                self.entry_load += 1;
+            }
+            // Post-scale-out router mode: the entry's (empty-chain)
+            // forwards spread over the shards by object id, and a replay
+            // of a routed forward follows it.
+            if let (false, Some(f)) = (self.shards.is_empty(), frame.as_mut()) {
+                if o.fate == Fate::Forward {
+                    let oid = self.client.calls.get(&call).map_or(call, |c| c.object_id);
+                    let shard = self.shards[(mix64(oid) % self.shards.len() as u64) as usize];
+                    self.routes.insert(call, shard);
+                }
+                if let Some(&shard) = self.routes.get(&call) {
+                    f.dst = shard;
                 }
             }
         }
-        if let Some(f) = out {
-            self.send_frame(f);
+        if let Fate::Replay { deferred: true } = o.fate {
+            self.exec
+                .log(format!("batch_defer addr={addr} call={call}"));
+        }
+        let dst = frame.as_ref().map_or(0, |f| f.dst);
+        let line = match (request, o.fate, frame.is_some()) {
+            (_, Fate::Malformed, _) => format!("proc_decode_error addr={addr}"),
+            (_, Fate::Forward | Fate::Abort(_) | Fate::ChainShed, false) => {
+                format!("encode_drop addr={addr} call={call}")
+            }
+            (true, Fate::Forward, true) => format!("fwd addr={addr} call={call} dst={dst}"),
+            (true, Fate::Abort(code), true) => format!("abort addr={addr} call={call} code={code}"),
+            (true, Fate::ChainShed, true) => format!("chain_shed addr={addr} call={call}"),
+            (true, Fate::Drop, _) => format!("chain_drop addr={addr} call={call}"),
+            (true, Fate::Replay { .. }, true) => format!("dedup_replay addr={addr} call={call}"),
+            (true, Fate::Replay { .. }, false) => format!("dedup_drop addr={addr} call={call}"),
+            (_, Fate::Expired, _) => format!("expired_drop addr={addr} call={call}"),
+            (_, Fate::Shed(prio), _) => format!("shed addr={addr} call={call} prio={}", prio as u8),
+            (false, Fate::Forward | Fate::Abort(_) | Fate::ChainShed, true) => {
+                format!("resp_fwd addr={addr} call={call} dst={dst}")
+            }
+            (false, Fate::Drop, _) => format!("resp_drop addr={addr} call={call}"),
+            (false, Fate::Replay { .. }, true) => format!("resp_dedup addr={addr} call={call}"),
+            (false, Fate::Replay { .. }, false) => {
+                format!("resp_dedup_drop addr={addr} call={call}")
+            }
+            (_, Fate::Stale, _) => format!("stale_resp addr={addr} call={call}"),
+        };
+        self.exec.log(line);
+        if let Some(f) = frame {
+            self.send_frame_extra(f, extra);
         }
     }
 
@@ -1464,7 +1296,7 @@ impl<'a> Sim<'a> {
         let key = (frame.src, msg.call_id);
         if let Some(f) = self.server.dedup.get(&key) {
             let f = f.clone();
-            self.facts.dedup_hits += 1;
+            self.facts.server_dedup_hits += 1;
             self.exec.log(format!("server_dedup call={}", msg.call_id));
             self.send_frame(f);
             return;
@@ -1548,7 +1380,7 @@ impl<'a> Sim<'a> {
                 if !p.alive {
                     continue;
                 }
-                p.chain.export_states()
+                p.core.export_state()
             };
             self.exec
                 .log(format!("checkpoint addr={addr} engines={}", images.len()));
@@ -1561,30 +1393,30 @@ impl<'a> Sim<'a> {
     }
 
     fn failover(&mut self, now: Duration, addr: u64, age: Duration) {
-        let (elements, images) = {
-            let p = &self.procs[&addr];
-            (
-                p.elements.clone(),
-                self.ctl.checkpoints.get(&addr).cloned().unwrap_or_default(),
-            )
+        let Some(p) = self.procs.get(&addr) else {
+            return;
         };
         let mut chain = build_chain(
-            &elements,
+            &p.elements,
             &self.req_schema,
             &self.resp_schema,
             self.compile_seed,
             self.cfg.jit,
         );
+        let images = self.ctl.checkpoints.get(&addr).cloned().unwrap_or_default();
         if !images.is_empty() {
             // Best effort, like the real controller: a stale checkpoint
             // shape (post-reconfig) falls back to fresh state.
             let _ = chain.import_states(&images);
         }
-        let p = self.procs.get_mut(&addr).expect("present");
-        p.chain = chain;
-        p.flows.clear();
-        p.req_cache = DedupWindow::new(DEDUP_CAP);
-        p.resp_cache = DedupWindow::new(DEDUP_CAP);
+        // The successor is a fresh core: empty flow table and dedup
+        // windows, the same next hop.
+        let core = new_core(self.cfg, &self.service, addr, chain, p.core.request_next());
+        let Some(p) = self.procs.get_mut(&addr) else {
+            return;
+        };
+        self.retired = self.retired.merge(&p.core.stats());
+        p.core = core;
         p.alive = true;
         p.last_beat = now;
         self.ctl.failed_over.insert(addr, now);
@@ -1595,56 +1427,36 @@ impl<'a> Sim<'a> {
 
     fn scale_out(&mut self, now: Duration) {
         let new_addr = SHARD_BASE + self.shards.len() as u64;
+        // Only the first shard inherits state: the entry's.
+        let mut images = Vec::new();
         if self.shards.is_empty() {
             // First scale-out: the entry's elements move to shard 0 (with
             // exported state) and the entry becomes a pure router.
-            let (elements, downstream, images) = {
-                let p = self.procs.get_mut(&self.entry).expect("entry");
-                let downstream = match &p.next_req {
-                    NextHop::Fixed(a) => *a,
-                    NextHop::Sharded(_) => unreachable!("entry is not yet a router"),
-                };
-                let images = p.chain.export_states();
-                let elements = std::mem::take(&mut p.elements);
-                p.chain = EngineChain::new();
-                (elements, downstream, images)
+            let Some(p) = self.procs.get_mut(&self.entry) else {
+                return;
             };
-            let mut chain = build_chain(
-                &elements,
-                &self.req_schema,
-                &self.resp_schema,
-                self.compile_seed,
-                self.cfg.jit,
-            );
-            let _ = chain.import_states(&images);
-            let shard = SimProcessor::new(
-                new_addr,
-                chain,
-                elements.clone(),
-                NextHop::Fixed(downstream),
-            );
-            self.procs.insert(new_addr, shard);
-            self.shard_elements = elements;
+            let NextHop::Fixed(downstream) = p.core.request_next() else {
+                return;
+            };
+            images = p.core.install_chain(EngineChain::new());
+            self.shard_elements = std::mem::take(&mut p.elements);
             self.shard_downstream = downstream;
-        } else {
-            let chain = build_chain(
-                &self.shard_elements,
-                &self.req_schema,
-                &self.resp_schema,
-                self.compile_seed,
-                self.cfg.jit,
-            );
-            let shard = SimProcessor::new(
-                new_addr,
-                chain,
-                self.shard_elements.clone(),
-                NextHop::Fixed(self.shard_downstream),
-            );
-            self.procs.insert(new_addr, shard);
         }
+        let mut chain = build_chain(
+            &self.shard_elements,
+            &self.req_schema,
+            &self.resp_schema,
+            self.compile_seed,
+            self.cfg.jit,
+        );
+        let _ = chain.import_states(&images);
+        let next = NextHop::Fixed(self.shard_downstream);
+        let core = new_core(self.cfg, &self.service, new_addr, chain, next);
+        self.procs.insert(
+            new_addr,
+            SimProcessor::new(new_addr, core, self.shard_elements.clone()),
+        );
         self.shards.push(new_addr);
-        let p = self.procs.get_mut(&self.entry).expect("entry");
-        p.next_req = NextHop::Sharded(self.shards.clone());
         self.ctl.last_scaleout = Some(now);
         self.facts.scaleouts.push(now);
         self.exec.log(format!(
@@ -1665,24 +1477,20 @@ impl<'a> Sim<'a> {
     /// flows and dedup caches ride along, exactly like the real
     /// `migrate_processor` (same address, no frame loss).
     fn migrate(&mut self, _now: Duration, addr: u64) {
-        let (elements, images, alive) = {
-            let Some(p) = self.procs.get(&addr) else {
-                return;
-            };
-            (p.elements.clone(), p.chain.export_states(), p.alive)
-        };
-        if !alive {
+        let Some(p) = self.procs.get(&addr).filter(|p| p.alive) else {
             return;
-        }
+        };
         let mut chain = build_chain(
-            &elements,
+            &p.elements,
             &self.req_schema,
             &self.resp_schema,
             self.compile_seed,
             self.cfg.jit,
         );
-        let _ = chain.import_states(&images);
-        self.procs.get_mut(&addr).expect("present").chain = chain;
+        let _ = chain.import_states(&p.core.export_state());
+        if let Some(p) = self.procs.get_mut(&addr) {
+            p.core.install_chain(chain);
+        }
         self.facts.migrations += 1;
         self.exec.log(format!("migrate addr={addr}"));
     }
